@@ -16,17 +16,17 @@
 //! Shared machinery: [`store`] (beacon store with per-origin storage
 //! limits), [`score`] (link-history tables, sent-PCB lists, the scoring
 //! functions), [`server`] (a beacon server tying store + algorithm),
-//! [`driver`] (core and intra-ISD simulation drivers on the discrete-event
-//! engine), [`parallel`] (the deterministic sharded variant of the same
-//! drivers), [`paths`] (extraction of disseminated path sets for quality
-//! analysis), and [`tuning`] (the grid search for α, β, γ and the score
-//! threshold described in §4.2).
+//! [`driver`] (the one simulation driver, [`run_beaconing`]: core and
+//! intra-ISD beaconing on the discrete-event engine, windowed and sharded
+//! over `threads` workers with identical output for every thread count,
+//! with optional fault and loss planes), [`paths`] (extraction of
+//! disseminated path sets for quality analysis), and [`tuning`] (the grid
+//! search for α, β, γ and the score threshold described in §4.2).
 
 pub mod baseline;
 pub mod config;
 pub mod diversity;
 pub mod driver;
-pub mod parallel;
 pub mod paths;
 pub mod score;
 pub mod server;
@@ -37,15 +37,9 @@ pub use baseline::BaselineAlgorithm;
 pub use config::{Algorithm, BeaconingConfig, DiversityParams};
 pub use diversity::DiversityAlgorithm;
 pub use driver::{
-    run_core_beaconing, run_core_beaconing_chaos, run_core_beaconing_lossy,
-    run_core_beaconing_windowed, run_core_beaconing_windowed_telemetry, run_intra_isd_beaconing,
-    run_intra_isd_beaconing_chaos, run_intra_isd_beaconing_lossy, run_intra_isd_beaconing_windowed,
-    run_intra_isd_beaconing_windowed_telemetry, BeaconingOutcome, ChaosConfig, ChaosReport,
-    LossReport, LossyConfig, ReachProbe,
-};
-pub use parallel::{
-    run_core_beaconing_parallel, run_core_beaconing_parallel_lossy,
-    run_intra_isd_beaconing_parallel,
+    run_beaconing, run_core_beaconing_parallel, run_intra_isd_beaconing_parallel, BeaconingOutcome,
+    BeaconingReport, BeaconingRun, ChaosConfig, ChaosReport, LossReport, LossyConfig, ReachProbe,
+    Scope,
 };
 pub use server::BeaconServer;
 pub use store::{BeaconStore, EvictedBeacon, InsertOutcome, StoredBeacon};

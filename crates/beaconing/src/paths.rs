@@ -67,7 +67,8 @@ pub fn paths_for_pairs(
 mod tests {
     use super::*;
     use crate::config::BeaconingConfig;
-    use crate::driver::run_core_beaconing;
+    use crate::driver::{run_beaconing, BeaconingRun};
+    use scion_telemetry::Telemetry;
     use scion_topology::{topology_from_edges, Relationship};
     use scion_types::{Asn, Duration, Isd};
 
@@ -87,12 +88,13 @@ mod tests {
         for idx in topo.as_indices().collect::<Vec<_>>() {
             topo.set_core(idx, true);
         }
-        let out = run_core_beaconing(
+        let out = run_beaconing(
             &topo,
             &BeaconingConfig::default(),
-            Duration::from_hours(2),
-            5,
-        );
+            &BeaconingRun::core(Duration::from_hours(2), 5),
+            &mut Telemetry::disabled(),
+        )
+        .outcome;
         let now = SimTime::ZERO + Duration::from_hours(2);
         let three = topo.by_address(ia(3)).unwrap();
         let srv = out.server(three).unwrap();
@@ -120,12 +122,13 @@ mod tests {
         for idx in topo.as_indices().collect::<Vec<_>>() {
             topo.set_core(idx, true);
         }
-        let out = run_core_beaconing(
+        let out = run_beaconing(
             &topo,
             &BeaconingConfig::default(),
-            Duration::from_hours(1),
-            5,
-        );
+            &BeaconingRun::core(Duration::from_hours(1), 5),
+            &mut Telemetry::disabled(),
+        )
+        .outcome;
         let now = SimTime::ZERO + Duration::from_hours(1);
         let a = topo.by_address(ia(1)).unwrap();
         let b = topo.by_address(ia(2)).unwrap();

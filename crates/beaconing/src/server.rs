@@ -74,10 +74,10 @@ pub enum DropReason {
 /// the fact: store effects, delivery-histogram observations, and the
 /// verification wall-clock.
 ///
-/// This is the shard-phase output of the parallel driver — the expensive
-/// work (signature verification, store admission) runs on a worker thread,
-/// and the serial merge step replays counters and traces from this record
-/// in deterministic event order.
+/// This is the shard-phase output of the driver — the expensive work
+/// (signature verification, store admission) runs on a worker thread, and
+/// the serial merge step replays counters and traces from this record in
+/// deterministic event order.
 #[derive(Clone, Debug)]
 pub struct BeaconOutcome {
     /// The store changed (new path or fresher instance).
@@ -98,7 +98,7 @@ pub struct BeaconOutcome {
 
 /// Why one outgoing send of an interval exists — the trace/counter info
 /// the driver needs, separated from the [`Propagation`] itself so the
-/// parallel merge can replay telemetry deterministically.
+/// driver's merge can replay telemetry deterministically.
 #[derive(Clone, Copy, Debug)]
 pub enum SendKind {
     /// A fresh origination with this sequence number.
@@ -116,7 +116,7 @@ pub enum SendKind {
 }
 
 /// Output of one beaconing interval, with per-send provenance and phase
-/// wall-clocks (shard-phase output of the parallel driver).
+/// wall-clocks (shard-phase output of the driver).
 #[derive(Debug, Default)]
 pub struct IntervalOutcome {
     /// The sends, each with its provenance.
@@ -224,7 +224,7 @@ impl BeaconServer {
     /// Telemetry-free core of [`BeaconServer::handle_beacon`]: verifies,
     /// admits, and returns a [`BeaconOutcome`] describing what happened so
     /// the caller can emit counters and traces later (and elsewhere — this
-    /// is the method parallel shards call on worker threads). `timed`
+    /// is the method the driver's shards call on worker threads). `timed`
     /// enables wall-clock measurement of the verification phase.
     ///
     /// Receive drops are still counted on [`BeaconServer::drops`]; only
@@ -282,8 +282,8 @@ impl BeaconServer {
 
     /// Emits the counters and traces of one accepted beacon, exactly as
     /// the inline path does (observation first, then insert/evict). Used by
-    /// both [`BeaconServer::handle_beacon_telemetry`] and the parallel
-    /// driver's merge step.
+    /// both [`BeaconServer::handle_beacon_telemetry`] and the driver's
+    /// merge step.
     pub fn replay_beacon_telemetry(&self, out: &BeaconOutcome, now: SimTime, tel: &mut Telemetry) {
         if !tel.is_enabled() {
             return;
@@ -307,10 +307,11 @@ impl BeaconServer {
         }
     }
 
-    /// Runs one beaconing interval: purges expired state, runs the
-    /// configured selection algorithm over `egress_links`, and returns the
-    /// signed, extended beacons to send. `originate` is true for ASes that
-    /// initiate beacons on these links (core ASes).
+    /// Runs one beaconing interval without peering links or telemetry:
+    /// purges expired state, runs the configured selection algorithm over
+    /// `egress_links`, and returns the signed, extended beacons to send.
+    /// `originate` is true for ASes that initiate beacons on these links
+    /// (core ASes). See [`BeaconServer::run_interval_outcome`].
     pub fn run_interval(
         &mut self,
         topo: &AsTopology,
@@ -319,72 +320,22 @@ impl BeaconServer {
         egress_links: &[EgressRef],
         originate: bool,
     ) -> Vec<Propagation> {
-        self.run_interval_with_peers(topo, trust, now, egress_links, originate, &[])
+        self.run_interval_outcome(topo, trust, now, egress_links, originate, &[], false)
+            .sends
+            .into_iter()
+            .map(|(p, _)| p)
+            .collect()
     }
 
-    /// Like [`BeaconServer::run_interval`], additionally advertising the
-    /// given peering links in every extended beacon (§2.2: "Non-core ASes
+    /// One beaconing interval: purge, select, sign, extend. Every extended
+    /// beacon additionally advertises `peer_links` (§2.2: "Non-core ASes
     /// can include their peering links in the PCBs, enabling valley-free
     /// forwarding if both up- and down-path segments contain the same
-    /// peering link"). Originations carry no peer entries — only the
-    /// appending non-core ASes advertise theirs.
-    pub fn run_interval_with_peers(
-        &mut self,
-        topo: &AsTopology,
-        trust: &TrustStore,
-        now: SimTime,
-        egress_links: &[EgressRef],
-        originate: bool,
-        peer_links: &[EgressRef],
-    ) -> Vec<Propagation> {
-        self.run_interval_with_peers_telemetry(
-            topo,
-            trust,
-            now,
-            egress_links,
-            originate,
-            peer_links,
-            &mut Telemetry::disabled(),
-        )
-    }
-
-    /// Like [`BeaconServer::run_interval_with_peers`], additionally
-    /// profiling the selection and origination phases and tracing every
-    /// origination and propagation.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_interval_with_peers_telemetry(
-        &mut self,
-        topo: &AsTopology,
-        trust: &TrustStore,
-        now: SimTime,
-        egress_links: &[EgressRef],
-        originate: bool,
-        peer_links: &[EgressRef],
-        tel: &mut Telemetry,
-    ) -> Vec<Propagation> {
-        let timed = tel.profile.is_enabled();
-        let out =
-            self.run_interval_outcome(topo, trust, now, egress_links, originate, peer_links, timed);
-        if timed {
-            tel.profile.record_ns(phase::SELECTION, out.selection_ns);
-            if out
-                .sends
-                .iter()
-                .any(|(_, k)| matches!(k, SendKind::Originated { .. }))
-            {
-                tel.profile
-                    .record_ns(phase::ORIGINATION, out.origination_ns);
-            }
-        }
-        self.replay_interval_telemetry(&out.sends, now, tel);
-        out.sends.into_iter().map(|(p, _)| p).collect()
-    }
-
-    /// Telemetry-free core of the interval: purge, select, sign, extend.
-    /// Returns every send with its provenance ([`SendKind`]) plus phase
-    /// wall-clocks, so counters and traces can be replayed later by the
-    /// caller — inline in the serial driver, in the deterministic merge
-    /// step of the parallel driver.
+    /// peering link"); originations carry no peer entries — only the
+    /// appending non-core ASes advertise theirs. Returns every send with
+    /// its provenance ([`SendKind`]) plus phase wall-clocks (`timed`), so
+    /// the driver's deterministic merge step can replay counters and
+    /// traces later ([`BeaconServer::replay_interval_telemetry`]).
     #[allow(clippy::too_many_arguments)]
     pub fn run_interval_outcome(
         &mut self,
@@ -482,8 +433,7 @@ impl BeaconServer {
     }
 
     /// Emits the origination counter and the per-send lifecycle traces of
-    /// one interval, in send order — shared by the inline path and the
-    /// parallel merge.
+    /// one interval, in send order, from the driver's merge step.
     pub fn replay_interval_telemetry(
         &self,
         sends: &[(Propagation, SendKind)],

@@ -11,11 +11,12 @@
 //! which is monotone in what the paper optimizes without requiring the
 //! full max-flow evaluation at tuning time.
 
+use scion_telemetry::Telemetry;
 use scion_topology::{AsIndex, AsTopology};
 use scion_types::{Duration, SimTime};
 
 use crate::config::{Algorithm, BeaconingConfig, DiversityParams};
-use crate::driver::run_core_beaconing;
+use crate::driver::{run_beaconing, BeaconingRun};
 use crate::paths::known_paths;
 
 /// Outcome of evaluating one parameter set.
@@ -44,7 +45,13 @@ pub fn evaluate(
         algorithm: Algorithm::Diversity(params),
         ..*base
     };
-    let outcome = run_core_beaconing(topo, &cfg, sim_duration, seed);
+    let outcome = run_beaconing(
+        topo,
+        &cfg,
+        &BeaconingRun::core(sim_duration, seed),
+        &mut Telemetry::disabled(),
+    )
+    .outcome;
     let now = SimTime::ZERO + sim_duration;
 
     let cores: Vec<AsIndex> = topo.core_ases().collect();

@@ -18,7 +18,7 @@ fn main() {
     eprintln!("running Figure 5 pipeline at {scale:?} scale (BGP/BGPsec month + SCION beaconing)…");
     let mut tel = args.telemetry_handle();
     let world = args.build_world();
-    let result = run_fig5_in(&world, args.thread_count(), &mut tel);
+    let result = run_fig5_in(&world, args.thread_count(1), &mut tel);
 
     println!("Figure 5: monthly control-plane overhead relative to BGP (per monitor)");
     let mut table = Table::new(&[

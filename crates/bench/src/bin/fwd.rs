@@ -21,7 +21,7 @@ use scion_core::report::{json_line, Table};
 
 fn main() {
     let args = parse_args();
-    let threads = args.thread_count().unwrap_or(4);
+    let threads = args.thread_count(4);
     eprintln!(
         "running forwarding bench at {:?} scale, {threads} worker threads…",
         args.scale

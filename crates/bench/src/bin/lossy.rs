@@ -22,7 +22,13 @@ fn main() {
         rates.len()
     );
     let mut tel = args.telemetry_handle();
-    let result = run_lossy_sweep(args.scale, args.seed, &rates, args.thread_count(), &mut tel);
+    let result = run_lossy_sweep(
+        args.scale,
+        args.seed,
+        &rates,
+        args.thread_count(1),
+        &mut tel,
+    );
 
     println!(
         "Lossy control plane: seed {}, {} probed AS pairs, rates {:?}",

@@ -19,7 +19,7 @@ use scion_core::report::{json_line, Table};
 
 fn main() {
     let args = parse_args();
-    let threads = args.thread_count().unwrap_or(4);
+    let threads = args.thread_count(4);
     eprintln!(
         "running overload experiment at {:?} scale, {threads} worker threads…",
         args.scale

@@ -17,7 +17,7 @@ fn main() {
     eprintln!("running Table 1 scenario at {scale:?} scale…");
     let mut tel = args.telemetry_handle();
     let world = args.build_world();
-    let result = run_table1_in(&world, args.thread_count(), &mut tel);
+    let result = run_table1_in(&world, args.thread_count(1), &mut tel);
 
     let mut table = Table::new(&[
         "SCION Control Plane Component",

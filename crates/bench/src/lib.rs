@@ -27,9 +27,8 @@ pub struct BenchArgs {
     /// `lossy` binary consumes it; others ignore it.
     pub loss: Option<Vec<f64>>,
     /// Worker-thread counts, when `--threads a,b,…` was given. The
-    /// `scaling` binary sweeps the whole list; single-run binaries
-    /// (`table1`, `fig5`, `lossy`) use the first entry to switch their
-    /// beaconing runs onto the parallel driver.
+    /// `scaling` binary sweeps the whole list; single-run binaries use the
+    /// first entry ([`BenchArgs::thread_count`]).
     pub threads: Option<Vec<usize>>,
     /// Ingested-topology spec (`kind:path`), when `--source` was given.
     /// Experiment binaries then run on the file-derived topology instead
@@ -44,10 +43,15 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// The single thread count of `--threads` for non-sweep binaries
-    /// (`None` when the flag was absent → serial driver).
-    pub fn thread_count(&self) -> Option<usize> {
-        self.threads.as_ref().and_then(|t| t.first().copied())
+    /// The single thread count of `--threads` for non-sweep binaries:
+    /// its first entry, or `default` when the flag was absent. The
+    /// beaconing binaries (`table1`, `fig5`, `lossy`) default to one
+    /// worker; results do not depend on the count.
+    pub fn thread_count(&self, default: usize) -> usize {
+        self.threads
+            .as_ref()
+            .and_then(|t| t.first().copied())
+            .unwrap_or(default)
     }
 
     /// A telemetry handle matching the CLI: recording when `--telemetry`

@@ -23,7 +23,7 @@
 //!   used by both the integration tests and the resilience experiment.
 //!
 //! The chaos-aware protocol drivers themselves live with their protocols:
-//! `scion_beaconing::driver::run_core_beaconing_chaos` and
+//! `scion_beaconing::run_beaconing` (with `BeaconingRun::chaos` set) and
 //! `scion_bgp::engine::simulate_origin_chaos` both replay the same
 //! [`FaultSchedule`], which is what makes the resilience experiment an
 //! apples-to-apples comparison.

@@ -6,11 +6,11 @@
 //! experiment, the chaos unit tests, and the integration tests all build
 //! identical worlds.
 
-use scion_beaconing::driver::run_intra_isd_beaconing;
-use scion_beaconing::BeaconingConfig;
+use scion_beaconing::{run_beaconing, BeaconingConfig, BeaconingRun};
 use scion_crypto::trc::TrustStore;
 use scion_pathserver::server::PathServer;
 use scion_proto::segment::{PathSegment, SegmentType};
+use scion_telemetry::Telemetry;
 use scion_topology::{AsTopology, Relationship};
 use scion_types::{Asn, Duration, IfId, Isd, IsdAsn, SimTime};
 
@@ -44,7 +44,13 @@ pub fn segments_for(
             .map(|i| (topo.node(i).ia, topo.node(i).core)),
         now + Duration::from_days(1),
     );
-    let out = run_intra_isd_beaconing(topo, &BeaconingConfig::default(), duration, seed);
+    let out = run_beaconing(
+        topo,
+        &BeaconingConfig::default(),
+        &BeaconingRun::intra_isd(duration, seed),
+        &mut Telemetry::disabled(),
+    )
+    .outcome;
     let leaf = topo.by_address(leaf_ia).unwrap();
     let srv = out.server(leaf).unwrap();
     let core_ia = IsdAsn::new(Isd(1), Asn::from_u64(1));

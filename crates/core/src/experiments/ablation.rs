@@ -20,7 +20,8 @@ use serde::Serialize;
 
 use scion_analysis::quality::{optimum_quality, pair_quality};
 use scion_beaconing::paths::known_paths;
-use scion_beaconing::{run_core_beaconing, Algorithm, DiversityParams};
+use scion_beaconing::{run_beaconing, Algorithm, BeaconingRun, DiversityParams};
+use scion_telemetry::Telemetry;
 use scion_topology::LinkIndex;
 use scion_types::SimTime;
 
@@ -95,7 +96,9 @@ pub fn run_ablation(scale: ExperimentScale) -> AblationResult {
         .into_iter()
         .map(|(variant, p)| {
             let cfg = params.beaconing_config(Algorithm::Diversity(p));
-            let outcome = run_core_beaconing(&world.core, &cfg, params.sim_duration, params.seed);
+            let run = BeaconingRun::core(params.sim_duration, params.seed);
+            let outcome =
+                run_beaconing(&world.core, &cfg, &run, &mut Telemetry::disabled()).outcome;
             let achieved: u64 = pairs
                 .iter()
                 .map(|&(origin, holder)| {

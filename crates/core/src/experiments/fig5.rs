@@ -17,10 +17,7 @@
 use serde::Serialize;
 
 use scion_analysis::{Cdf, Summary};
-use scion_beaconing::{
-    run_core_beaconing_parallel, run_core_beaconing_windowed_telemetry,
-    run_intra_isd_beaconing_parallel, run_intra_isd_beaconing_windowed_telemetry, BeaconingOutcome,
-};
+use scion_beaconing::{run_beaconing, BeaconingOutcome, BeaconingRun, Scope};
 use scion_bgp::monthly::pick_monitors;
 use scion_bgp::{monthly_overhead, MonthlyConfig};
 use scion_telemetry::{phase, Telemetry};
@@ -91,19 +88,12 @@ pub fn run_fig5(scale: ExperimentScale) -> Fig5Result {
 /// distinct run labels (`bgp_month`, `core_baseline`, `core_diversity`,
 /// `intra_isd`).
 pub fn run_fig5_telemetry(scale: ExperimentScale, tel: &mut Telemetry) -> Fig5Result {
-    run_fig5_with(scale, None, tel)
+    run_fig5_with(scale, 1, tel)
 }
 
-/// Like [`run_fig5_telemetry`], with the beaconing runs on the
-/// deterministic parallel driver when `threads` is given (`None` keeps the
-/// serial driver; both are deterministic per seed, but the two drivers'
-/// within-tick send orderings differ, so mixed-driver byte totals are not
-/// comparable).
-pub fn run_fig5_with(
-    scale: ExperimentScale,
-    threads: Option<usize>,
-    tel: &mut Telemetry,
-) -> Fig5Result {
+/// Like [`run_fig5_telemetry`], with the beaconing runs sharded over
+/// `threads` workers (every output is identical for every count).
+pub fn run_fig5_with(scale: ExperimentScale, threads: usize, tel: &mut Telemetry) -> Fig5Result {
     let world = World::build(scale.params());
     run_fig5_in(&world, threads, tel)
 }
@@ -111,7 +101,7 @@ pub fn run_fig5_with(
 /// Like [`run_fig5_with`], on a pre-built world — the entry point for
 /// ingested (file-derived) topologies, which construct their world via
 /// [`World::from_internet`].
-pub fn run_fig5_in(world: &World, threads: Option<usize>, tel: &mut Telemetry) -> Fig5Result {
+pub fn run_fig5_in(world: &World, threads: usize, tel: &mut Telemetry) -> Fig5Result {
     let params = world.params;
 
     // --- BGP + BGPsec: one month of dynamics on the full topology. ---
@@ -134,52 +124,23 @@ pub fn run_fig5_in(world: &World, threads: Option<usize>, tel: &mut Telemetry) -
     let div_cfg = params.beaconing_config(scion_beaconing::Algorithm::Diversity(
         scion_beaconing::DiversityParams::default(),
     ));
-    let warmup = params.pcb_lifetime;
-    let run_core = |cfg, tel: &mut Telemetry| match threads {
-        Some(n) => run_core_beaconing_parallel(
-            &world.core,
-            cfg,
-            warmup,
-            params.sim_duration,
-            params.seed,
-            n,
-            tel,
-        ),
-        None => run_core_beaconing_windowed_telemetry(
-            &world.core,
-            cfg,
-            warmup,
-            params.sim_duration,
-            params.seed,
-            tel,
-        ),
+    let core_run = BeaconingRun {
+        warmup: params.pcb_lifetime,
+        threads,
+        ..BeaconingRun::core(params.sim_duration, params.seed)
     };
     tel.begin_run("core_baseline");
-    let core_base = run_core(&base_cfg, tel);
+    let core_base = run_beaconing(&world.core, &base_cfg, &core_run, tel).outcome;
     tel.begin_run("core_diversity");
-    let core_div = run_core(&div_cfg, tel);
+    let core_div = run_beaconing(&world.core, &div_cfg, &core_run, tel).outcome;
 
     // --- SCION intra-ISD beaconing (baseline only, as in §5.1). ---
     tel.begin_run("intra_isd");
-    let intra = match threads {
-        Some(n) => run_intra_isd_beaconing_parallel(
-            &world.intra,
-            &base_cfg,
-            warmup,
-            params.sim_duration,
-            params.seed,
-            n,
-            tel,
-        ),
-        None => run_intra_isd_beaconing_windowed_telemetry(
-            &world.intra,
-            &base_cfg,
-            warmup,
-            params.sim_duration,
-            params.seed,
-            tel,
-        ),
+    let intra_run = BeaconingRun {
+        scope: Scope::IntraIsd,
+        ..core_run
     };
+    let intra = run_beaconing(&world.intra, &base_cfg, &intra_run, tel).outcome;
 
     // Extrapolate the beaconing window to one month.
     let month = Duration::from_days(30);
@@ -254,7 +215,6 @@ fn summarize(rows: &[MonitorRow]) -> Vec<SeriesSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scion_beaconing::run_core_beaconing_windowed;
 
     #[test]
     fn fig5_tiny_reproduces_the_ordering() {
@@ -292,13 +252,13 @@ mod tests {
         let params = ExperimentScale::Tiny.params();
         let world = World::build(params);
         let cfg = params.beaconing_config(scion_beaconing::Algorithm::Baseline);
-        let out = run_core_beaconing_windowed(
+        let out = run_beaconing(
             &world.core,
             &cfg,
-            scion_types::Duration::ZERO,
-            params.sim_duration,
-            1,
-        );
+            &BeaconingRun::core(params.sim_duration, 1),
+            &mut Telemetry::disabled(),
+        )
+        .outcome;
         // Sum of received over all ASes equals sum of sent over all
         // interfaces (every sent beacon arrives somewhere).
         let received: u64 = world

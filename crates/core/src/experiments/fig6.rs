@@ -25,8 +25,9 @@ use serde::Serialize;
 
 use scion_analysis::quality::{optimum_quality, pair_quality};
 use scion_beaconing::paths::known_paths;
-use scion_beaconing::{run_core_beaconing, Algorithm, BeaconingConfig, DiversityParams};
+use scion_beaconing::{run_beaconing, Algorithm, BeaconingConfig, BeaconingRun, DiversityParams};
 use scion_bgp::{best_paths_with_policy, bgp_multipath_links, PolicyMode};
+use scion_telemetry::Telemetry;
 use scion_topology::{AsIndex, AsTopology, LinkIndex};
 use scion_types::SimTime;
 
@@ -121,7 +122,8 @@ pub fn run_quality_on(
 
     // SCION series.
     for (name, cfg) in configs {
-        let outcome = run_core_beaconing(core, cfg, sim_duration, seed);
+        let run = BeaconingRun::core(sim_duration, seed);
+        let outcome = run_beaconing(core, cfg, &run, &mut Telemetry::disabled()).outcome;
         let values: Vec<u64> = pairs
             .iter()
             .map(|&(origin, holder)| {

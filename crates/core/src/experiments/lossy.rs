@@ -22,8 +22,7 @@
 use serde::Serialize;
 
 use scion_beaconing::{
-    run_core_beaconing_lossy, run_core_beaconing_parallel_lossy, Algorithm, ChaosConfig,
-    DiversityParams, LossReport, LossyConfig,
+    run_beaconing, Algorithm, BeaconingRun, ChaosConfig, DiversityParams, LossReport, LossyConfig,
 };
 use scion_chaos::FaultSchedule;
 use scion_crypto::trc::TrustStore;
@@ -166,17 +165,16 @@ pub fn run_lossy_with_rates(
     rates: &[f64],
     tel: &mut Telemetry,
 ) -> LossyResult {
-    run_lossy_sweep(scale, seed_override, rates, None, tel)
+    run_lossy_sweep(scale, seed_override, rates, 1, tel)
 }
 
-/// Like [`run_lossy_with_rates`], with the beaconing runs on the
-/// deterministic parallel driver when `threads` is given (`None` keeps the
-/// serial driver).
+/// Like [`run_lossy_with_rates`], with the beaconing runs sharded over
+/// `threads` workers (every output is identical for every count).
 pub fn run_lossy_sweep(
     scale: ExperimentScale,
     seed_override: Option<u64>,
     rates: &[f64],
-    threads: Option<usize>,
+    threads: usize,
     tel: &mut Telemetry,
 ) -> LossyResult {
     let mut params = scale.params();
@@ -213,36 +211,20 @@ pub fn run_lossy_sweep(
             } else {
                 LossyConfig::unreliable(rate)
             };
-            let chaos = ChaosConfig {
-                schedule: &schedule,
-                probe_pairs: &pairs,
-                probe_cadence: params.interval,
+            let run = BeaconingRun {
+                threads,
+                chaos: Some(ChaosConfig {
+                    schedule: &schedule,
+                    probe_pairs: &pairs,
+                    probe_cadence: params.interval,
+                }),
+                lossy: Some(lossy),
+                ..BeaconingRun::core(sim, seed)
             };
-            let (outcome, chaos_rep, report) = match threads {
-                Some(n) => run_core_beaconing_parallel_lossy(
-                    topo,
-                    &cfg,
-                    Duration::ZERO,
-                    sim,
-                    seed,
-                    n,
-                    &lossy,
-                    Some(&chaos),
-                    tel,
-                ),
-                None => run_core_beaconing_lossy(
-                    topo,
-                    &cfg,
-                    Duration::ZERO,
-                    sim,
-                    seed,
-                    &lossy,
-                    Some(&chaos),
-                    tel,
-                ),
-            };
-            let total = outcome.traffic.grand_total();
-            let curve: Vec<(u64, f64)> = chaos_rep
+            let rep = run_beaconing(topo, &cfg, &run, tel);
+            let total = rep.outcome.traffic.grand_total();
+            let curve: Vec<(u64, f64)> = rep
+                .chaos
                 .probes
                 .iter()
                 .map(|p| (p.t.as_micros(), p.fraction()))
@@ -252,7 +234,7 @@ pub fn run_lossy_sweep(
                 curve,
                 messages: total.messages,
                 bytes: total.bytes,
-                report,
+                report: rep.loss,
             });
         }
         let Ok(pair) = <[Raw; 2]>::try_from(arms) else {

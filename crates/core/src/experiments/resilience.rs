@@ -20,9 +20,7 @@ use std::collections::BTreeMap;
 
 use serde::Serialize;
 
-use scion_beaconing::{
-    run_core_beaconing_chaos, run_intra_isd_beaconing, Algorithm, ChaosConfig, DiversityParams,
-};
+use scion_beaconing::{run_beaconing, Algorithm, BeaconingRun, ChaosConfig, DiversityParams};
 use scion_bgp::sizes::{bgp_announce_size, bgp_withdraw_size};
 use scion_bgp::{simulate_origin_chaos, BgpChaosConfig, OriginSimConfig, PolicyMode};
 use scion_chaos::{
@@ -133,17 +131,19 @@ pub fn run_resilience_telemetry(
     for (name, algorithm) in algos {
         tel.begin_run(name);
         let cfg = params.beaconing_config(algorithm);
-        let chaos = ChaosConfig {
-            schedule: &schedule,
-            probe_pairs: &pairs,
-            probe_cadence: params.interval,
+        let run = BeaconingRun {
+            chaos: Some(ChaosConfig {
+                schedule: &schedule,
+                probe_pairs: &pairs,
+                probe_cadence: params.interval,
+            }),
+            ..BeaconingRun::core(sim, seed)
         };
-        let (outcome, report) =
-            run_core_beaconing_chaos(topo, &cfg, Duration::ZERO, sim, seed, &chaos, tel);
-        let total = outcome.traffic.grand_total();
+        let rep = run_beaconing(topo, &cfg, &run, tel);
+        let total = rep.outcome.traffic.grand_total();
         series.push(make_series(
             name,
-            report.fraction_curve(),
+            rep.chaos.fraction_curve(),
             &downs,
             total.messages,
             total.bytes,
@@ -280,7 +280,8 @@ fn run_revocation_leg(
     let cfg = world
         .params
         .beaconing_config(Algorithm::Diversity(DiversityParams::default()));
-    let out = run_intra_isd_beaconing(intra, &cfg, sim, seed);
+    let run = BeaconingRun::intra_isd(sim, seed);
+    let out = run_beaconing(intra, &cfg, &run, &mut Telemetry::disabled()).outcome;
 
     // Register every leaf's down-segments toward the first core at that
     // core's path server, as the leaves would after beaconing.

@@ -1,15 +1,15 @@
-//! Scaling experiment: wall-clock speedup of the deterministic parallel
-//! beaconing driver versus worker-thread count.
+//! Scaling experiment: wall-clock speedup of the beaconing driver versus
+//! worker-thread count.
 //!
 //! Method: build the scale's core-beaconing topology, then run the *same*
 //! seeded simulation once per requested thread count with
-//! [`run_core_beaconing_parallel`], measuring wall-clock time around each
-//! run and collecting the driver's phase profile (window pop, shard
-//! execution, merge). Signature verification on receive is forced **on**
+//! [`run_beaconing`], measuring wall-clock time around each run and
+//! collecting the driver's phase profile (window pop, shard execution,
+//! merge). Signature verification on receive is forced **on**
 //! regardless of scale defaults — per-AS verification is exactly the work
 //! the shard stage parallelizes, and it is always on in production.
 //!
-//! Because the parallel driver is deterministic by construction, every row
+//! Because the driver is thread-count invariant by construction, every row
 //! must report identical protocol outcomes (bytes, deliveries, events);
 //! the result records that cross-check so a scaling run doubles as a
 //! determinism audit at full experiment scale.
@@ -18,7 +18,7 @@ use std::path::Path;
 
 use serde::Serialize;
 
-use scion_beaconing::{run_core_beaconing_parallel, Algorithm};
+use scion_beaconing::{run_beaconing, Algorithm, BeaconingRun};
 use scion_telemetry::{phase, Profiler, Telemetry, TelemetryConfig};
 
 use crate::experiments::world::World;
@@ -134,16 +134,13 @@ pub fn run_scaling_in(
             tel
         };
 
-        let started = std::time::Instant::now();
-        let out = run_core_beaconing_parallel(
-            &world.core,
-            &cfg,
-            params.pcb_lifetime,
-            params.sim_duration,
-            params.seed,
+        let run = BeaconingRun {
+            warmup: params.pcb_lifetime,
             threads,
-            &mut tel,
-        );
+            ..BeaconingRun::core(params.sim_duration, params.seed)
+        };
+        let started = std::time::Instant::now();
+        let out = run_beaconing(&world.core, &cfg, &run, &mut tel).outcome;
         let wall = started.elapsed();
 
         if let Some(root) = dump_root {
@@ -230,7 +227,7 @@ mod tests {
                 assert!(dir.join(name).exists(), "{threads}: {name} missing");
             }
         }
-        // Deterministic parallel driver: the deterministic files of the
+        // Thread-count invariance: the deterministic files of the
         // 1-thread and 2-thread dumps are byte-identical.
         for name in ["metrics.jsonl", "series.jsonl", "trace.jsonl"] {
             assert_eq!(

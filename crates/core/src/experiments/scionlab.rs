@@ -11,7 +11,8 @@
 use serde::Serialize;
 
 use scion_analysis::Cdf;
-use scion_beaconing::{run_core_beaconing, Algorithm, BeaconingConfig, DiversityParams};
+use scion_beaconing::{run_beaconing, Algorithm, BeaconingConfig, BeaconingRun, DiversityParams};
+use scion_telemetry::Telemetry;
 use scion_topology::scionlab::scionlab_topology;
 use scion_types::{Duration, IfId};
 
@@ -77,7 +78,8 @@ pub fn run_fig9(scale: ExperimentScale) -> Fig9Result {
         storage_limit: Some(5),
         ..BeaconingConfig::default()
     };
-    let outcome = run_core_beaconing(&topo, &cfg, params.sim_duration, params.seed);
+    let run = BeaconingRun::core(params.sim_duration, params.seed);
+    let outcome = run_beaconing(&topo, &cfg, &run, &mut Telemetry::disabled()).outcome;
 
     let secs = params.sim_duration.as_secs_f64();
     let mut bps: Vec<f64> = outcome

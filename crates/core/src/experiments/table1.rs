@@ -19,10 +19,7 @@
 
 use serde::Serialize;
 
-use scion_beaconing::{
-    run_core_beaconing_parallel, run_core_beaconing_windowed_telemetry,
-    run_intra_isd_beaconing_parallel, run_intra_isd_beaconing_windowed_telemetry,
-};
+use scion_beaconing::{run_beaconing, BeaconingRun};
 use scion_crypto::trc::TrustStore;
 use scion_pathserver::ledger::{Component, Ledger, Scope};
 use scion_pathserver::revocation::revoke_segments;
@@ -64,15 +61,14 @@ pub fn run_table1(scale: ExperimentScale) -> Table1Result {
 /// their own run labels plus path-server registration/lookup counters and
 /// segment-registration traces.
 pub fn run_table1_telemetry(scale: ExperimentScale, tel: &mut Telemetry) -> Table1Result {
-    run_table1_with(scale, None, tel)
+    run_table1_with(scale, 1, tel)
 }
 
-/// Like [`run_table1_telemetry`], with the beaconing runs on the
-/// deterministic parallel driver when `threads` is given (`None` keeps the
-/// serial driver).
+/// Like [`run_table1_telemetry`], with the beaconing runs sharded over
+/// `threads` workers (every output is identical for every count).
 pub fn run_table1_with(
     scale: ExperimentScale,
-    threads: Option<usize>,
+    threads: usize,
     tel: &mut Telemetry,
 ) -> Table1Result {
     let world = World::build(scale.params());
@@ -82,7 +78,7 @@ pub fn run_table1_with(
 /// Like [`run_table1_with`], on a pre-built world — the entry point for
 /// ingested (file-derived) topologies, which construct their world via
 /// [`World::from_internet`].
-pub fn run_table1_in(world: &World, threads: Option<usize>, tel: &mut Telemetry) -> Table1Result {
+pub fn run_table1_in(world: &World, threads: usize, tel: &mut Telemetry) -> Table1Result {
     let params = world.params;
     let duration = params.sim_duration;
     let mut ledger = Ledger::new();
@@ -90,25 +86,11 @@ pub fn run_table1_in(world: &World, threads: Option<usize>, tel: &mut Telemetry)
     // --- Beaconing components, accounted from real runs. ---
     let cfg = params.beaconing_config(scion_beaconing::Algorithm::Baseline);
     tel.begin_run("table1_core");
-    let core_out = match threads {
-        Some(n) => run_core_beaconing_parallel(
-            &world.core,
-            &cfg,
-            Duration::ZERO,
-            duration,
-            params.seed,
-            n,
-            tel,
-        ),
-        None => run_core_beaconing_windowed_telemetry(
-            &world.core,
-            &cfg,
-            Duration::ZERO,
-            duration,
-            params.seed,
-            tel,
-        ),
+    let core_run = BeaconingRun {
+        threads,
+        ..BeaconingRun::core(duration, params.seed)
     };
+    let core_out = run_beaconing(&world.core, &cfg, &core_run, tel).outcome;
     for ((as_idx, ifid), counter) in core_out.traffic.per_interface() {
         // Scope: a core link between ASes of different ISDs is global.
         let scope = core_link_scope(&world.core, as_idx, ifid);
@@ -128,25 +110,11 @@ pub fn run_table1_in(world: &World, threads: Option<usize>, tel: &mut Telemetry)
     );
 
     tel.begin_run("table1_intra");
-    let intra_out = match threads {
-        Some(n) => run_intra_isd_beaconing_parallel(
-            &world.intra,
-            &cfg,
-            Duration::ZERO,
-            duration,
-            params.seed,
-            n,
-            tel,
-        ),
-        None => run_intra_isd_beaconing_windowed_telemetry(
-            &world.intra,
-            &cfg,
-            Duration::ZERO,
-            duration,
-            params.seed,
-            tel,
-        ),
+    let intra_run = BeaconingRun {
+        threads,
+        ..BeaconingRun::intra_isd(duration, params.seed)
     };
+    let intra_out = run_beaconing(&world.intra, &cfg, &intra_run, tel).outcome;
     let intra_total = intra_out.traffic.grand_total();
     record_bulk(
         &mut ledger,

@@ -21,14 +21,16 @@
 //! let (mut core, _) = prune_to_top_degree(&topo, 12);
 //! scion_core::topology::isd::assign_isds(&mut core, 4);
 //!
-//! // Two simulated hours of diversity-based core beaconing.
-//! let outcome = run_core_beaconing(
+//! // Two simulated hours of diversity-based core beaconing (seed 7). The
+//! // same call runs intra-ISD beaconing, more workers, a fault or a loss
+//! // plane: set the matching `BeaconingRun` field.
+//! let report = run_beaconing(
 //!     &core,
 //!     &BeaconingConfig::diversity(),
-//!     Duration::from_hours(2),
-//!     7,
+//!     &BeaconingRun::core(Duration::from_hours(2), 7),
+//!     &mut Telemetry::disabled(),
 //! );
-//! assert!(outcome.total_bytes() > 0);
+//! assert!(report.outcome.total_bytes() > 0);
 //! ```
 
 pub mod experiments;
@@ -54,8 +56,7 @@ pub use scion_types as types;
 pub mod prelude {
     pub use scion_analysis::{max_flow, Cdf, Summary};
     pub use scion_beaconing::{
-        run_core_beaconing, run_intra_isd_beaconing, Algorithm, BeaconingConfig, BeaconingOutcome,
-        DiversityParams,
+        run_beaconing, Algorithm, BeaconingConfig, BeaconingOutcome, BeaconingRun, DiversityParams,
     };
     pub use scion_bgp::{monthly_overhead, MonthlyConfig};
     pub use scion_proto::{combine_paths, EndToEndPath, PathSegment, Pcb, SegmentType};

@@ -54,12 +54,13 @@ impl LatencyModel {
         self.delays[link.as_usize()]
     }
 
-    /// The smallest delay of any link ([`Duration::ZERO`] for a linkless
-    /// topology). This bounds the conservative lookahead of parallel
-    /// execution: events less than `min_delay` apart cannot causally
-    /// influence each other through the network.
-    pub fn min_delay(&self) -> Duration {
-        self.delays.iter().copied().min().unwrap_or(Duration::ZERO)
+    /// The smallest delay of any link, or `None` for a linkless topology
+    /// (no message can exist, which is not the same as a zero delay). This
+    /// bounds the conservative lookahead of windowed execution: events
+    /// less than `min_delay` apart cannot causally influence each other
+    /// through the network.
+    pub fn min_delay(&self) -> Option<Duration> {
+        self.delays.iter().copied().min()
     }
 }
 
@@ -88,6 +89,15 @@ mod tests {
             let d = m.delay(li);
             assert!(d >= Duration::from_millis(5) && d <= Duration::from_millis(10));
         }
+    }
+
+    #[test]
+    fn min_delay_is_none_without_links() {
+        let linkless = scion_topology::AsTopology::default();
+        assert_eq!(LatencyModel::default_for(&linkless, 1).min_delay(), None);
+        let t = generate_internet(&GeneratorConfig::small(50, 1));
+        let m = LatencyModel::constant(&t, Duration::from_millis(3));
+        assert_eq!(m.min_delay(), Some(Duration::from_millis(3)));
     }
 
     #[test]

@@ -52,7 +52,13 @@ fn main() {
         ("baseline", BeaconingConfig::default()),
         ("diversity-based", BeaconingConfig::diversity()),
     ] {
-        let outcome = run_core_beaconing(&core, &cfg, duration, 5);
+        let outcome = run_beaconing(
+            &core,
+            &cfg,
+            &BeaconingRun::core(duration, 5),
+            &mut Telemetry::disabled(),
+        )
+        .outcome;
         let achieved: u64 = pairs
             .iter()
             .map(|&(origin, holder)| {

@@ -67,7 +67,13 @@ fn exposed_topology() -> AsTopology {
 
 fn member_resilience(topo: &AsTopology, label: &str) {
     let cfg = BeaconingConfig::diversity();
-    let outcome = run_core_beaconing(topo, &cfg, Duration::from_hours(6), 9);
+    let outcome = run_beaconing(
+        topo,
+        &cfg,
+        &BeaconingRun::core(Duration::from_hours(6), 9),
+        &mut Telemetry::disabled(),
+    )
+    .outcome;
     let now = SimTime::ZERO + Duration::from_hours(6);
 
     // Member ASes are 1..=4 in both models.

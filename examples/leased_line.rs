@@ -51,7 +51,13 @@ fn main() {
 
     // --- Control plane: intra-ISD beaconing from the ISP core.
     let cfg = BeaconingConfig::default();
-    let outcome = run_intra_isd_beaconing(&topo, &cfg, Duration::from_hours(1), 3);
+    let outcome = run_beaconing(
+        &topo,
+        &cfg,
+        &BeaconingRun::intra_isd(Duration::from_hours(1), 3),
+        &mut Telemetry::disabled(),
+    )
+    .outcome;
     let now = SimTime::ZERO + Duration::from_hours(1);
 
     // --- Each site terminates its freshest beacons into up/down segments

@@ -32,12 +32,13 @@ fn main() {
 
     // 3. Run six hours of core beaconing with the paper's
     //    path-diversity-based construction algorithm.
-    let outcome = run_core_beaconing(
+    let outcome = run_beaconing(
         &core,
         &BeaconingConfig::diversity(),
-        Duration::from_hours(6),
-        42,
-    );
+        &BeaconingRun::core(Duration::from_hours(6), 42),
+        &mut Telemetry::disabled(),
+    )
+    .outcome;
     println!(
         "beaconing done: {} beacons delivered, {} sent on the wire",
         outcome.beacons_delivered,

@@ -37,7 +37,13 @@ fn main() {
     // --- Control plane: one hour of intra-ISD beaconing.
     let duration = Duration::from_hours(1);
     let now = SimTime::ZERO + duration;
-    let out = run_intra_isd_beaconing(&topo, &BeaconingConfig::default(), duration, 5);
+    let out = run_beaconing(
+        &topo,
+        &BeaconingConfig::default(),
+        &BeaconingRun::intra_isd(duration, 5),
+        &mut Telemetry::disabled(),
+    )
+    .outcome;
     let trust = TrustStore::bootstrap(
         topo.as_indices()
             .map(|i| (topo.node(i).ia, topo.node(i).core)),

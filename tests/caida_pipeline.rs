@@ -42,12 +42,13 @@ fn caida_document_drives_the_full_pipeline() {
     assert_eq!(core.num_ases(), 5);
     assert_eq!(core.core_ases().count(), 5);
 
-    let out = run_core_beaconing(
+    let out = run_beaconing(
         &core,
         &BeaconingConfig::diversity(),
-        Duration::from_hours(2),
-        1,
-    );
+        &BeaconingRun::core(Duration::from_hours(2), 1),
+        &mut Telemetry::disabled(),
+    )
+    .outcome;
     let now = SimTime::ZERO + Duration::from_hours(2);
     for a in core.as_indices() {
         for b in core.as_indices() {
@@ -76,12 +77,13 @@ fn intra_isd_construction_from_caida_data() {
     assert_eq!(intra.core_ases().count(), 1);
     assert!(intra.num_ases() > 4);
 
-    let out = run_intra_isd_beaconing(
+    let out = run_beaconing(
         &intra,
         &BeaconingConfig::default(),
-        Duration::from_hours(1),
-        2,
-    );
+        &BeaconingRun::intra_isd(Duration::from_hours(1), 2),
+        &mut Telemetry::disabled(),
+    )
+    .outcome;
     let now = SimTime::ZERO + Duration::from_hours(1);
     let core_ia = intra.core_ases().map(|i| intra.node(i).ia).next().unwrap();
     for idx in intra.as_indices() {

@@ -43,7 +43,13 @@ fn build_stack() -> Stack {
     let topo = world();
     let duration = Duration::from_hours(1);
     let now = SimTime::ZERO + duration;
-    let out = run_intra_isd_beaconing(&topo, &BeaconingConfig::default(), duration, 11);
+    let out = run_beaconing(
+        &topo,
+        &BeaconingConfig::default(),
+        &BeaconingRun::intra_isd(duration, 11),
+        &mut Telemetry::disabled(),
+    )
+    .outcome;
     let trust = TrustStore::bootstrap(
         topo.as_indices()
             .map(|i| (topo.node(i).ia, topo.node(i).core)),

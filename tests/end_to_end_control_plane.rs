@@ -69,8 +69,20 @@ fn full_stack_cross_isd_path_construction() {
     let trust = trust_for(&topo, now + Duration::from_days(1));
 
     // --- Both beaconing levels run on the same world.
-    let core_out = run_core_beaconing(&topo, &BeaconingConfig::default(), duration, 1);
-    let intra_out = run_intra_isd_beaconing(&topo, &BeaconingConfig::default(), duration, 1);
+    let core_out = run_beaconing(
+        &topo,
+        &BeaconingConfig::default(),
+        &BeaconingRun::core(duration, 1),
+        &mut Telemetry::disabled(),
+    )
+    .outcome;
+    let intra_out = run_beaconing(
+        &topo,
+        &BeaconingConfig::default(),
+        &BeaconingRun::intra_isd(duration, 1),
+        &mut Telemetry::disabled(),
+    )
+    .outcome;
 
     let core1_ia = IsdAsn::new(Isd(1), Asn::from_u64(1));
     let core2_ia = IsdAsn::new(Isd(2), Asn::from_u64(1));
@@ -172,7 +184,13 @@ fn beacons_surviving_the_full_stack_validate_cryptographically() {
     let now = SimTime::ZERO + duration;
     let trust = trust_for(&topo, now + Duration::from_days(1));
 
-    let out = run_core_beaconing(&topo, &BeaconingConfig::default(), duration, 2);
+    let out = run_beaconing(
+        &topo,
+        &BeaconingConfig::default(),
+        &BeaconingRun::core(duration, 2),
+        &mut Telemetry::disabled(),
+    )
+    .outcome;
     let core1 = topo
         .by_address(IsdAsn::new(Isd(1), Asn::from_u64(1)))
         .unwrap();
@@ -193,7 +211,13 @@ fn intra_isd_beacons_stay_within_their_isd() {
     let topo = two_isd_world();
     let duration = Duration::from_hours(1);
     let now = SimTime::ZERO + duration;
-    let out = run_intra_isd_beaconing(&topo, &BeaconingConfig::default(), duration, 3);
+    let out = run_beaconing(
+        &topo,
+        &BeaconingConfig::default(),
+        &BeaconingRun::intra_isd(duration, 3),
+        &mut Telemetry::disabled(),
+    )
+    .outcome;
 
     // A leaf in ISD 2 must know its own core but never ISD 1's core
     // (intra-ISD beaconing is isolated per ISD — paper §5.1 calls

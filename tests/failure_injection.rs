@@ -6,7 +6,6 @@
 //! in `scion_chaos::testkit`, shared with the chaos crate's unit tests and
 //! the resilience experiment.
 
-use scion_core::beaconing::driver::run_intra_isd_beaconing_chaos;
 use scion_core::beaconing::paths::known_paths;
 use scion_core::beaconing::ChaosConfig;
 use scion_core::chaos::testkit::{dual_homed_world, register_down_segments, segments_for};
@@ -97,7 +96,13 @@ fn beacons_expire_without_refresh() {
         pcb_lifetime: Duration::from_secs(3600),
         ..BeaconingConfig::default()
     };
-    let out = run_intra_isd_beaconing(&topo, &cfg, Duration::from_secs(1800), 3);
+    let out = run_beaconing(
+        &topo,
+        &cfg,
+        &BeaconingRun::intra_isd(Duration::from_secs(1800), 3),
+        &mut Telemetry::disabled(),
+    )
+    .outcome;
     let leaf = topo
         .by_address(IsdAsn::new(Isd(1), Asn::from_u64(10)))
         .unwrap();
@@ -136,21 +141,15 @@ fn scripted_outage_respects_the_dual_homed_min_cut() {
     };
     let run = |script: scion_core::chaos::Script| {
         let schedule = script.build();
-        let chaos = ChaosConfig {
-            schedule: &schedule,
-            probe_pairs: &pairs,
-            probe_cadence: Duration::from_secs(100),
+        let run = BeaconingRun {
+            chaos: Some(ChaosConfig {
+                schedule: &schedule,
+                probe_pairs: &pairs,
+                probe_cadence: Duration::from_secs(100),
+            }),
+            ..BeaconingRun::intra_isd(Duration::from_secs(6000), 1)
         };
-        let (_, report) = run_intra_isd_beaconing_chaos(
-            &topo,
-            &cfg,
-            Duration::ZERO,
-            Duration::from_secs(6000),
-            1,
-            &chaos,
-            &mut scion_core::telemetry::Telemetry::disabled(),
-        );
-        report
+        run_beaconing(&topo, &cfg, &run, &mut Telemetry::disabled()).chaos
     };
 
     // Single-link outage: the sibling link keeps the pair live throughout.
@@ -197,7 +196,13 @@ fn diversity_keeps_connectivity_across_many_lifetimes() {
         ..BeaconingConfig::diversity()
     };
     let duration = Duration::from_secs(4 * 3600); // 4 lifetimes
-    let out = run_core_beaconing(&core, &cfg, duration, 17);
+    let out = run_beaconing(
+        &core,
+        &cfg,
+        &BeaconingRun::core(duration, 17),
+        &mut Telemetry::disabled(),
+    )
+    .outcome;
     let now = SimTime::ZERO + duration;
     for origin in core.core_ases() {
         for holder in core.core_ases() {

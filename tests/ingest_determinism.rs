@@ -120,7 +120,7 @@ fn ingested_topology_drives_a_full_table1_run() {
     assert!(world.core.num_ases() <= 16);
     assert!(world.core.core_ases().count() > 0);
 
-    let r = run_table1_in(&world, None, &mut Telemetry::disabled());
+    let r = run_table1_in(&world, 1, &mut Telemetry::disabled());
     assert!(!r.rows.is_empty());
     let beaconing = r
         .rows

@@ -15,7 +15,13 @@ fn quality_sum(
     duration: Duration,
     seed: u64,
 ) -> (u64, u64) {
-    let out = run_core_beaconing(core, cfg, duration, seed);
+    let out = run_beaconing(
+        core,
+        cfg,
+        &BeaconingRun::core(duration, seed),
+        &mut Telemetry::disabled(),
+    )
+    .outcome;
     let now = SimTime::ZERO + duration;
     let cores: Vec<AsIndex> = core.core_ases().collect();
     let links = core.core_links();
@@ -66,8 +72,8 @@ proptest! {
             pcb_lifetime: Duration::from_secs(3600),
             ..BeaconingConfig::diversity()
         };
-        let a = run_core_beaconing(&core, &cfg, Duration::from_secs(1800), seed);
-        let b = run_core_beaconing(&core, &cfg, Duration::from_secs(1800), seed);
+        let a = run_beaconing(&core, &cfg, &BeaconingRun::core(Duration::from_secs(1800), seed), &mut Telemetry::disabled()).outcome;
+        let b = run_beaconing(&core, &cfg, &BeaconingRun::core(Duration::from_secs(1800), seed), &mut Telemetry::disabled()).outcome;
         prop_assert_eq!(a.total_bytes(), b.total_bytes());
         prop_assert_eq!(a.beacons_delivered, b.beacons_delivered);
         prop_assert_eq!(a.traffic.per_interface(), b.traffic.per_interface());
@@ -115,7 +121,13 @@ fn baseline_and_diversity_both_reach_full_coverage() {
             ..BeaconingConfig::diversity()
         },
     ] {
-        let out = run_core_beaconing(&core, &cfg, duration, 13);
+        let out = run_beaconing(
+            &core,
+            &cfg,
+            &BeaconingRun::core(duration, 13),
+            &mut Telemetry::disabled(),
+        )
+        .outcome;
         let now = SimTime::ZERO + duration;
         for origin in core.core_ases() {
             for holder in core.core_ases() {

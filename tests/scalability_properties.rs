@@ -21,7 +21,13 @@ fn core_beaconing_respects_the_kn_interface_bound() {
     let cfg = BeaconingConfig::default();
     let intervals = 6u64;
     let duration = Duration::from_mins(10) * intervals;
-    let out = run_core_beaconing(&core, &cfg, duration, 5);
+    let out = run_beaconing(
+        &core,
+        &cfg,
+        &BeaconingRun::core(duration, 5),
+        &mut Telemetry::disabled(),
+    )
+    .outcome;
 
     let n = core.num_ases() as u64;
     let k = cfg.dissemination_limit as u64;
@@ -75,8 +81,20 @@ fn intra_isd_overhead_is_independent_of_other_isds() {
     let duration = Duration::from_hours(1);
     let (solo, members) = build(false);
     let (embedded, _) = build(true);
-    let out_solo = run_intra_isd_beaconing(&solo, &cfg, duration, 9);
-    let out_embedded = run_intra_isd_beaconing(&embedded, &cfg, duration, 9);
+    let out_solo = run_beaconing(
+        &solo,
+        &cfg,
+        &BeaconingRun::intra_isd(duration, 9),
+        &mut Telemetry::disabled(),
+    )
+    .outcome;
+    let out_embedded = run_beaconing(
+        &embedded,
+        &cfg,
+        &BeaconingRun::intra_isd(duration, 9),
+        &mut Telemetry::disabled(),
+    )
+    .outcome;
 
     for ia in members {
         let a = solo.by_address(ia).unwrap();
@@ -105,8 +123,20 @@ fn diversity_reduces_overhead_by_a_large_factor_over_a_lifetime() {
         ..cfg_base
     };
     let duration = Duration::from_secs(5400); // 1.5 lifetimes
-    let base = run_core_beaconing(&core, &cfg_base, duration, 7);
-    let div = run_core_beaconing(&core, &cfg_div, duration, 7);
+    let base = run_beaconing(
+        &core,
+        &cfg_base,
+        &BeaconingRun::core(duration, 7),
+        &mut Telemetry::disabled(),
+    )
+    .outcome;
+    let div = run_beaconing(
+        &core,
+        &cfg_div,
+        &BeaconingRun::core(duration, 7),
+        &mut Telemetry::disabled(),
+    )
+    .outcome;
     let ratio = base.total_bytes() as f64 / div.total_bytes() as f64;
     assert!(
         ratio > 4.0,
@@ -131,13 +161,20 @@ fn diversity_reduction_is_robust_across_core_sizes() {
     };
     for num_core in [8usize, 16] {
         let core = core_world(160, num_core, 3);
-        let base = run_core_beaconing(&core, &cadence(Algorithm::Baseline), duration, 3);
-        let div = run_core_beaconing(
+        let base = run_beaconing(
+            &core,
+            &cadence(Algorithm::Baseline),
+            &BeaconingRun::core(duration, 3),
+            &mut Telemetry::disabled(),
+        )
+        .outcome;
+        let div = run_beaconing(
             &core,
             &cadence(Algorithm::Diversity(DiversityParams::default())),
-            duration,
-            3,
-        );
+            &BeaconingRun::core(duration, 3),
+            &mut Telemetry::disabled(),
+        )
+        .outcome;
         let ratio = base.total_bytes() as f64 / div.total_bytes() as f64;
         assert!(
             ratio > 4.0,

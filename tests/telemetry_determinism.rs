@@ -10,7 +10,6 @@
 use std::fs;
 use std::path::PathBuf;
 
-use scion_core::beaconing::{run_core_beaconing_chaos, run_core_beaconing_windowed_telemetry};
 use scion_core::chaos::{ChaosConfig, ChurnModel};
 use scion_core::prelude::*;
 use scion_core::topology::isd::assign_isds;
@@ -22,14 +21,11 @@ fn dump_one_run(tag: &str) -> PathBuf {
 
     let mut tel = Telemetry::new(TelemetryConfig::default());
     tel.begin_run("determinism");
-    let out = run_core_beaconing_windowed_telemetry(
-        &core,
-        &BeaconingConfig::diversity(),
-        Duration::from_mins(30),
-        Duration::from_hours(1),
-        7,
-        &mut tel,
-    );
+    let run = BeaconingRun {
+        warmup: Duration::from_mins(30),
+        ..BeaconingRun::core(Duration::from_hours(1), 7)
+    };
+    let out = run_beaconing(&core, &BeaconingConfig::diversity(), &run, &mut tel).outcome;
     assert!(out.total_bytes() > 0);
     assert!(!tel.series.is_empty(), "sampler never fired");
     assert!(tel.traces.emitted() > 0, "no trace records");
@@ -60,24 +56,20 @@ fn dump_one_churned_run(tag: &str) -> PathBuf {
             .take(20)
             .collect()
     };
-    let chaos = ChaosConfig {
-        schedule: &schedule,
-        probe_pairs: &pairs,
-        probe_cadence: Duration::from_mins(5),
+    let run = BeaconingRun {
+        chaos: Some(ChaosConfig {
+            schedule: &schedule,
+            probe_pairs: &pairs,
+            probe_cadence: Duration::from_mins(5),
+        }),
+        ..BeaconingRun::core(window, 7)
     };
 
     let mut tel = Telemetry::new(TelemetryConfig::default());
     tel.begin_run("churned");
-    let (out, report) = run_core_beaconing_chaos(
-        &core,
-        &BeaconingConfig::diversity(),
-        Duration::ZERO,
-        window,
-        7,
-        &chaos,
-        &mut tel,
-    );
-    assert!(out.total_bytes() > 0);
+    let rep = run_beaconing(&core, &BeaconingConfig::diversity(), &run, &mut tel);
+    let report = rep.chaos;
+    assert!(rep.outcome.total_bytes() > 0);
     assert!(!report.probes.is_empty(), "probes never fired");
     assert!(report.fault_events_applied > 0, "churn never applied");
 
