@@ -258,7 +258,7 @@ mod tests {
             assert!(tmp.join(name).exists(), "{name} missing");
         }
         let summary = std::fs::read_to_string(tmp.join("summary.txt")).unwrap();
-        assert!(summary.contains(ids::BEACONS_SENT), "{summary}");
+        assert!(summary.contains(ids::BEACONS_SENT.name()), "{summary}");
         std::fs::remove_dir_all(&tmp).ok();
     }
 

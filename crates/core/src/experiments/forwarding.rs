@@ -47,10 +47,12 @@ const FAIL_PATH_EVERY: usize = 13;
 /// Payload bytes per packet.
 const PAYLOAD_LEN: u32 = 1_000;
 
-/// Latency quantiles of one profiler phase, nanoseconds.
+/// Latency quantiles of one profiler phase, nanoseconds. Hot-span phases
+/// time a sample of their calls: `count` is every call, the latency
+/// figures describe the timed ones.
 #[derive(Clone, Debug, Serialize)]
 pub struct LatencyQuantiles {
-    /// Observations.
+    /// Operations the phase ran (`PhaseStats::calls`).
     pub count: u64,
     /// Mean, nanoseconds.
     pub mean_ns: f64,
@@ -68,7 +70,7 @@ pub(crate) fn quantiles(profiler: &Profiler, phase_name: &str) -> Option<Latency
     let h = profiler.latency(phase_name)?;
     let stats = profiler.stats(phase_name)?;
     Some(LatencyQuantiles {
-        count: h.count(),
+        count: stats.calls,
         mean_ns: stats.mean_ns() as f64,
         p50_ns: h.quantile(0.5)?,
         p90_ns: h.quantile(0.9)?,

@@ -4,7 +4,7 @@
 
 use std::fmt::Write as _;
 
-use scion_telemetry::{Label, Telemetry};
+use scion_telemetry::{Label, MetricId, Telemetry};
 use serde::Serialize;
 
 /// A simple fixed-width table printer.
@@ -98,7 +98,7 @@ pub fn telemetry_summary(tel: &Telemetry) -> String {
     let mut out = String::new();
 
     // -- Counters, aggregated per metric id. --
-    let mut by_id: Vec<(&'static str, u64, usize)> = Vec::new();
+    let mut by_id: Vec<(MetricId, u64, usize)> = Vec::new();
     for (id, _label, v) in tel.metrics.counters() {
         match by_id.last_mut() {
             Some((last, sum, n)) if *last == id => {
@@ -121,8 +121,8 @@ pub fn telemetry_summary(tel: &Telemetry) -> String {
     // -- Final gauge values: global instances verbatim, labelled
     //    instances summarised as count + sum. --
     let mut gauge_rows: Vec<[String; 2]> = Vec::new();
-    let mut agg: Option<(&'static str, f64, usize)> = None;
-    let flush = |agg: &mut Option<(&'static str, f64, usize)>, rows: &mut Vec<[String; 2]>| {
+    let mut agg: Option<(MetricId, f64, usize)> = None;
+    let flush = |agg: &mut Option<(MetricId, f64, usize)>, rows: &mut Vec<[String; 2]>| {
         if let Some((id, sum, n)) = agg.take() {
             rows.push([format!("{id} ({n} instances)"), format!("sum {sum:.1}")]);
         }
@@ -203,14 +203,16 @@ pub fn telemetry_summary(tel: &Telemetry) -> String {
         out.push('\n');
     }
 
-    // -- Wall-clock phase profile. --
+    // -- Wall-clock phase profile: time columns cover the timed calls
+    //    (all of them, except for sampled hot spans). --
     if !tel.profile.is_empty() {
         let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
-        let mut t = Table::new(&["phase", "calls", "total ms", "mean ms", "max ms"]);
+        let mut t = Table::new(&["phase", "calls", "timed", "timed ms", "mean ms", "max ms"]);
         for (name, s) in tel.profile.phases() {
             t.row(&[
                 name.to_string(),
                 s.calls.to_string(),
+                s.timed.to_string(),
                 ms(s.total_ns),
                 ms(s.mean_ns()),
                 ms(s.max_ns),
@@ -260,20 +262,15 @@ mod tests {
 
     #[test]
     fn telemetry_summary_covers_every_section() {
-        use scion_telemetry::{phase, TelemetryConfig, TraceEvent};
+        use scion_telemetry::{ids, phase, TelemetryConfig, TraceEvent};
         use scion_types::SimTime;
 
         let mut tel = Telemetry::new(TelemetryConfig::default());
-        tel.inc("beaconing.sent_messages", Label::As(0), 5);
-        tel.inc("beaconing.sent_messages", Label::As(1), 7);
-        tel.sample(SimTime::ZERO, "engine.queue_depth", Label::Global, 3.0);
-        tel.sample(
-            SimTime::ZERO,
-            "traffic.iface_bytes",
-            Label::Iface(0, 1),
-            9.0,
-        );
-        tel.observe("beaconing.pcb_hops_at_delivery", Label::Global, 2.0);
+        tel.inc(ids::BEACONS_SENT, Label::As(0), 5);
+        tel.inc(ids::BEACONS_SENT, Label::As(1), 7);
+        tel.sample(SimTime::ZERO, ids::ENGINE_QUEUE_DEPTH, Label::Global, 3.0);
+        tel.sample(SimTime::ZERO, ids::IFACE_BYTES, Label::Iface(0, 1), 9.0);
+        tel.observe(ids::PCB_HOPS_AT_DELIVERY, Label::Global, 2.0);
         tel.trace_event(SimTime::ZERO, || TraceEvent::PcbOriginated {
             node: 0,
             egress_if: 1,

@@ -4,11 +4,11 @@
 //! MAC verification is the only expensive, side-effect-free stage of the
 //! border-router pipeline, so it parallelizes cleanly: the **shard** stage
 //! verifies every scheduled hop's MAC across the worker pool
-//! ([`phase::FWD_BATCH_SHARD`]), each shard timing its items into a local
-//! [`Histogram`]; the **merge** stage ([`phase::FWD_BATCH_MERGE`]) then
-//! replays the full pipeline serially in input order via
-//! [`forward_instrumented`] with the precomputed MAC results, and absorbs
-//! the shard histograms into the [`phase::FWD_VERIFY`] profiler phase.
+//! ([`phase::FWD_BATCH_SHARD`]), each shard counting and sample-timing its
+//! items in a local [`Profiler`]; the **merge** stage
+//! ([`phase::FWD_BATCH_MERGE`]) then replays the full pipeline serially in
+//! input order via [`forward_instrumented`] with the precomputed MAC
+//! results, and absorbs the shard profilers' [`phase::FWD_VERIFY`] spans.
 //!
 //! Because the merge emits traces and counters in exactly the order the
 //! scalar pipeline would, a batched run's deterministic telemetry streams
@@ -20,7 +20,7 @@ use std::time::Instant;
 use scion_proto::hopfield::HopField;
 use scion_proto::pcb::forwarding_key;
 use scion_simulator::exec::WorkerPool;
-use scion_telemetry::{phase, Histogram, Telemetry, WALL_NS_BUCKETS};
+use scion_telemetry::{phase, Profiler, Telemetry};
 use scion_types::{IfId, IsdAsn, SimTime};
 
 use crate::packet::Packet;
@@ -81,22 +81,24 @@ pub fn forward_batch(
         jobs.chunks(chunk_size).map(<[_]>::to_vec).collect();
 
     let shard_start = timed.then(Instant::now);
-    let sharded: Vec<(Vec<Option<bool>>, Histogram)> = pool.run_ordered(chunks, |_, chunk| {
-        let mut latency = Histogram::new(&WALL_NS_BUCKETS);
+    let sharded: Vec<(Vec<Option<bool>>, Profiler)> = pool.run_ordered(chunks, |_, chunk| {
+        let mut profile = if timed {
+            Profiler::enabled()
+        } else {
+            Profiler::disabled()
+        };
         let verdicts = chunk
             .into_iter()
             .map(|job| {
                 job.map(|(key, hf)| {
-                    let t0 = timed.then(Instant::now);
+                    let span = profile.hot_span(phase::FWD_VERIFY);
                     let ok = hf.verify(key);
-                    if let Some(t0) = t0 {
-                        latency.observe(t0.elapsed().as_nanos().min(u64::MAX as u128) as f64);
-                    }
+                    profile.finish(span);
                     ok
                 })
             })
             .collect();
-        (verdicts, latency)
+        (verdicts, profile)
     });
     if let Some(t0) = shard_start {
         let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
@@ -104,9 +106,9 @@ pub fn forward_batch(
     }
 
     let mut verdicts = Vec::with_capacity(steps.len());
-    for (chunk_verdicts, shard_hist) in sharded {
+    for (chunk_verdicts, shard_profile) in sharded {
         verdicts.extend(chunk_verdicts);
-        tel.profile.absorb(phase::FWD_VERIFY, &shard_hist);
+        tel.profile.absorb(&shard_profile);
     }
 
     let merge_start = timed.then(Instant::now);
@@ -231,14 +233,14 @@ mod tests {
 
         assert!(tel.profile.stats(phase::FWD_BATCH_SHARD).is_some());
         assert!(tel.profile.stats(phase::FWD_BATCH_MERGE).is_some());
-        // Shard-side verify latencies were absorbed: one observation per step.
-        assert_eq!(
-            tel.profile.stats(phase::FWD_VERIFY).unwrap().calls,
-            n as u64
-        );
+        // Shard-side verify spans were absorbed: one call per step, the
+        // timed subset in the latency histogram.
+        let verify = tel.profile.stats(phase::FWD_VERIFY).unwrap();
+        assert_eq!(verify.calls, n as u64);
+        assert!((1..verify.calls).contains(&verify.timed));
         assert_eq!(
             tel.profile.latency(phase::FWD_VERIFY).unwrap().count(),
-            n as u64
+            verify.timed
         );
         let verified: u64 = tel
             .metrics

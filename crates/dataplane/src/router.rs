@@ -9,14 +9,12 @@
 //! current hop field (MAC, expiry, ingress interface), decide, advance.
 //! [`forward_instrumented`] is the same pipeline with full observability:
 //! per-hop trace events, MAC-verify outcomes, per-interface counters, and
-//! wall-clock latency recorded into the telemetry handle — all behind
-//! single-branch checks so a disabled handle stays free.
-
-use std::time::Instant;
+//! sampled wall-clock latency recorded into the telemetry handle — all
+//! behind single-branch checks so a disabled handle stays free.
 
 use scion_proto::pcb::forwarding_key;
 use scion_telemetry::trace::TraceEvent;
-use scion_telemetry::{ids, phase, Label, Telemetry};
+use scion_telemetry::{ids, phase, Label, MetricId, Telemetry};
 use scion_types::{IfId, IsdAsn, SimTime};
 
 use crate::packet::Packet;
@@ -79,7 +77,7 @@ impl ForwardError {
     }
 
     /// The per-reason drop counter this error increments.
-    pub fn metric_id(&self) -> &'static str {
+    pub fn metric_id(&self) -> MetricId {
         match self {
             ForwardError::WrongAs { .. } => ids::FWD_DROP_WRONG_AS,
             ForwardError::BadMac => ids::FWD_DROP_BAD_MAC,
@@ -111,10 +109,6 @@ pub fn forward(
     )
 }
 
-fn elapsed_ns(t0: Instant) -> u64 {
-    t0.elapsed().as_nanos().min(u64::MAX as u128) as u64
-}
-
 /// The full border-router pipeline of [`forward`] with observability:
 ///
 /// * a [`TraceEvent::MacVerified`] record and a `macs_verified`/`rejected`
@@ -125,7 +119,8 @@ fn elapsed_ns(t0: Instant) -> u64 {
 ///   `hops_at_delivery` histogram;
 /// * on every drop: [`TraceEvent::PacketDropped`] with the stable reason
 ///   code and the matching `dataplane.drop.*` counter;
-/// * wall-clock spans into the [`phase::FWD_FORWARD`] and
+/// * hot spans ([`scion_telemetry::Profiler::hot_span`]: every call
+///   counted, one in sixteen timed) into the [`phase::FWD_FORWARD`] and
 ///   [`phase::FWD_VERIFY`] profiler phases.
 ///
 /// `node` is the dense topology index of `local_as`, used to label traces
@@ -142,7 +137,7 @@ pub fn forward_instrumented(
     precomputed_mac: Option<bool>,
     tel: &mut Telemetry,
 ) -> Result<ForwardAction, ForwardError> {
-    let hop_start = tel.profile.is_enabled().then(Instant::now);
+    let hop_span = tel.profile.hot_span(phase::FWD_FORWARD);
 
     let result = (|| {
         let &(owner, hf) = packet
@@ -158,11 +153,9 @@ pub fn forward_instrumented(
         let mac_ok = match precomputed_mac {
             Some(ok) => ok,
             None => {
-                let t0 = tel.profile.is_enabled().then(Instant::now);
+                let span = tel.profile.hot_span(phase::FWD_VERIFY);
                 let ok = hf.verify(forwarding_key(local_as));
-                if let Some(t0) = t0 {
-                    tel.profile.record_ns(phase::FWD_VERIFY, elapsed_ns(t0));
-                }
+                tel.profile.finish(span);
                 ok
             }
         };
@@ -217,9 +210,7 @@ pub fn forward_instrumented(
         }
     }
 
-    if let Some(t0) = hop_start {
-        tel.profile.record_ns(phase::FWD_FORWARD, elapsed_ns(t0));
-    }
+    tel.profile.finish(hop_span);
     result
 }
 
@@ -347,7 +338,10 @@ mod tests {
             ]
         );
         for e in &errors {
-            assert_eq!(e.metric_id(), format!("dataplane.drop.{}", e.reason()));
+            assert_eq!(
+                e.metric_id().name(),
+                format!("dataplane.drop.{}", e.reason())
+            );
         }
     }
 
@@ -382,9 +376,11 @@ mod tests {
             events[5],
             TraceEvent::PacketDelivered { node: 2, hops: 3 }
         ));
-        // Wall-clock spans landed in the profiler phases.
-        assert_eq!(tel.profile.stats(phase::FWD_FORWARD).unwrap().calls, 3);
-        assert_eq!(tel.profile.stats(phase::FWD_VERIFY).unwrap().calls, 3);
+        // Every hop is a call of both phases; the first of each is timed.
+        for name in [phase::FWD_FORWARD, phase::FWD_VERIFY] {
+            let s = tel.profile.stats(name).unwrap();
+            assert_eq!((s.calls, s.timed), (3, 1), "{name}");
+        }
     }
 
     #[test]

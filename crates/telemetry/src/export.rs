@@ -8,11 +8,12 @@
 //!   exposition format, ready for `promtool` or a file-based scrape;
 //! * `series.jsonl` — the virtual-time samples, in recording order;
 //! * `trace.jsonl` — the retained trace records, oldest first;
-//! * `profile.jsonl` — the per-phase wall-clock profile (calls, totals,
-//!   and latency quantiles from the [`crate::profile::WALL_NS_BUCKETS`]
-//!   histograms). This file is the only nondeterministic one; same-seed
-//!   runs produce byte-identical `metrics`/`series`/`trace` files
-//!   (asserted by `tests/telemetry_determinism.rs`).
+//! * `profile.jsonl` — the per-phase wall-clock profile (`calls`, how
+//!   many of them were `timed`, totals and latency quantiles of the timed
+//!   ones from the [`crate::profile::WALL_NS_BUCKETS`] histograms). This
+//!   file is the only nondeterministic one; same-seed runs produce
+//!   byte-identical `metrics`/`series`/`trace` files (asserted by
+//!   `tests/telemetry_determinism.rs`).
 
 use std::fs;
 use std::io::{self, Write};
@@ -84,6 +85,7 @@ impl<'a> HistogramRow<'a> {
 struct ProfileRow<'a> {
     phase: &'a str,
     calls: u64,
+    timed: u64,
     total_ns: u64,
     mean_ns: u64,
     max_ns: u64,
@@ -113,7 +115,7 @@ impl Telemetry {
                 &mut metrics,
                 &CounterRow {
                     kind: "counter",
-                    id,
+                    id: id.name(),
                     label,
                     value,
                 },
@@ -144,14 +146,14 @@ impl Telemetry {
                 &mut metrics,
                 &GaugeRow {
                     kind: "gauge",
-                    id,
+                    id: id.name(),
                     label,
                     value,
                 },
             )?;
         }
         for (id, label, h) in self.metrics.histograms() {
-            write_line(&mut metrics, &HistogramRow::new(id, label, h))?;
+            write_line(&mut metrics, &HistogramRow::new(id.name(), label, h))?;
         }
         metrics.flush()?;
 
@@ -171,6 +173,7 @@ impl Telemetry {
         for (phase, stats) in self.profile.phases() {
             let PhaseStats {
                 calls,
+                timed,
                 total_ns,
                 max_ns,
             } = stats;
@@ -180,6 +183,7 @@ impl Telemetry {
                 &ProfileRow {
                     phase,
                     calls,
+                    timed,
                     total_ns,
                     mean_ns: stats.mean_ns(),
                     max_ns,
@@ -205,7 +209,7 @@ impl Telemetry {
         let mut last_family = String::new();
 
         for (id, label, value) in self.metrics.counters() {
-            let name = prom_family(out, &mut last_family, id, "counter")?;
+            let name = prom_family(out, &mut last_family, id.name(), "counter")?;
             writeln!(out, "{name}{} {value}", prom_labels(label))?;
         }
         for (id, value) in [
@@ -216,11 +220,11 @@ impl Telemetry {
             writeln!(out, "{name} {value}")?;
         }
         for (id, label, value) in self.metrics.gauges() {
-            let name = prom_family(out, &mut last_family, id, "gauge")?;
+            let name = prom_family(out, &mut last_family, id.name(), "gauge")?;
             writeln!(out, "{name}{} {value}", prom_labels(label))?;
         }
         for (id, label, h) in self.metrics.histograms() {
-            let name = prom_family(out, &mut last_family, id, "histogram")?;
+            let name = prom_family(out, &mut last_family, id.name(), "histogram")?;
             let labels = prom_label_pairs(label);
             let mut cumulative = 0u64;
             for (bound, count) in h.bounds().iter().zip(h.bucket_counts()) {
@@ -342,7 +346,7 @@ fn prom_labels(label: Label) -> String {
 mod tests {
     use super::*;
     use crate::trace::TraceEvent;
-    use crate::TelemetryConfig;
+    use crate::{ids, TelemetryConfig};
     use scion_types::SimTime;
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -355,9 +359,14 @@ mod tests {
     #[test]
     fn export_writes_parseable_jsonl() {
         let mut tel = Telemetry::new(TelemetryConfig::default());
-        tel.inc("x.count", Label::Global, 3);
-        tel.sample(SimTime::from_micros(5), "x.gauge", Label::As(1), 2.0);
-        tel.observe("x.hist", Label::Global, 1.5);
+        tel.inc(ids::BEACONS_ORIGINATED, Label::Global, 3);
+        tel.sample(
+            SimTime::from_micros(5),
+            ids::STORE_OCCUPANCY,
+            Label::As(1),
+            2.0,
+        );
+        tel.observe(ids::PCB_AGE_AT_DELIVERY, Label::Global, 1.5);
         tel.trace_event(SimTime::from_micros(9), || TraceEvent::PcbOriginated {
             node: 0,
             egress_if: 1,
@@ -381,7 +390,7 @@ mod tests {
             }
         }
         let metrics = fs::read_to_string(dir.join("metrics.jsonl")).unwrap();
-        assert!(metrics.contains("\"x.count\""));
+        assert!(metrics.contains("\"beaconing.originated\""));
         assert!(metrics.contains("trace.records_emitted"));
         fs::remove_dir_all(&dir).ok();
     }
@@ -389,16 +398,16 @@ mod tests {
     #[test]
     fn prometheus_export_renders_types_labels_and_buckets() {
         let mut tel = Telemetry::new(TelemetryConfig::default());
-        tel.inc("dataplane.packets_forwarded", Label::As(3), 12);
-        tel.inc("dataplane.packets_forwarded", Label::As(7), 1);
+        tel.inc(ids::FWD_FORWARDED, Label::As(3), 12);
+        tel.inc(ids::FWD_FORWARDED, Label::As(7), 1);
         tel.sample(
             SimTime::from_micros(1),
-            "store.occupancy",
+            ids::CHAOS_LIVE_PAIR_FRACTION,
             Label::Global,
             0.5,
         );
         for v in [0.5, 1.5, 99.0] {
-            tel.observe("dataplane.hops_at_delivery", Label::Global, v);
+            tel.observe(ids::FWD_HOPS_AT_DELIVERY, Label::Global, v);
         }
 
         let mut buf = Vec::new();
@@ -413,8 +422,8 @@ mod tests {
         );
         assert!(text.contains("dataplane_packets_forwarded{as=\"3\"} 12"));
         assert!(text.contains("dataplane_packets_forwarded{as=\"7\"} 1"));
-        assert!(text.contains("# TYPE store_occupancy gauge"));
-        assert!(text.contains("store_occupancy 0.5"));
+        assert!(text.contains("# TYPE chaos_live_pair_fraction gauge"));
+        assert!(text.contains("chaos_live_pair_fraction 0.5"));
         assert!(text.contains("# TYPE trace_records_emitted counter"));
         assert!(text.contains("# TYPE dataplane_hops_at_delivery histogram"));
         // Buckets are cumulative and end with +Inf == _count.
@@ -463,9 +472,14 @@ mod tests {
     fn same_content_exports_identical_bytes() {
         let build = || {
             let mut tel = Telemetry::new(TelemetryConfig::default());
-            tel.inc("b", Label::As(2), 1);
-            tel.inc("a", Label::Global, 7);
-            tel.sample(SimTime::from_micros(1), "g", Label::Global, 0.5);
+            tel.inc(ids::FWD_FORWARDED, Label::As(2), 1);
+            tel.inc(ids::BEACONS_ORIGINATED, Label::Global, 7);
+            tel.sample(
+                SimTime::from_micros(1),
+                ids::ENGINE_QUEUE_DEPTH,
+                Label::Global,
+                0.5,
+            );
             tel
         };
         let (da, db) = (tmp_dir("det-a"), tmp_dir("det-b"));

@@ -6,8 +6,9 @@
 //! quality over time. This crate provides the instruments:
 //!
 //! * [`metrics`] — a registry of named counters, gauges, and fixed-bucket
-//!   histograms keyed by metric id + [`Label`] (AS / interface / link),
-//!   with deterministic `BTreeMap` ordering so same-seed runs export
+//!   histograms keyed by a typed [`MetricId`] (see [`ids`]) + [`Label`]
+//!   (AS / interface / link), stored in index-addressed slabs and
+//!   iterated in `(name, label)` order so same-seed runs export
 //!   byte-identical dumps;
 //! * [`series`] — a virtual-time time-series recorder fed by a sampler
 //!   that the simulation drivers fire from engine timer events on a
@@ -15,8 +16,9 @@
 //! * [`trace`] — a ring-buffered sink of typed PCB/segment lifecycle
 //!   records with virtual timestamps, plus a no-op mode costing the hot
 //!   path one branch;
-//! * [`profile`] — wall-clock RAII spans aggregated into a per-phase
-//!   profile (the only intentionally nondeterministic part);
+//! * [`profile`] — wall-clock spans aggregated into a per-phase profile
+//!   (the only intentionally nondeterministic part): RAII scopes, and
+//!   sampled *hot spans* for operations too short to time on every call;
 //! * [`export`] — the JSONL dump format written by `--telemetry <dir>`,
 //!   plus a Prometheus text-exposition rendering (`metrics.prom`);
 //! * [`telediff`] — a structural regression gate: diffs two telemetry
@@ -31,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod export;
+pub mod ids;
 pub mod metrics;
 pub mod profile;
 pub mod series;
@@ -39,193 +42,12 @@ pub mod trace;
 
 use scion_types::{Duration, SimTime};
 
+pub use ids::MetricId;
 pub use metrics::{Histogram, Label, MetricsRegistry, DEFAULT_BUCKETS};
-pub use profile::{phase, PhaseStats, Profiler, WALL_NS_BUCKETS};
+pub use profile::{phase, PhaseStats, Profiler, HOT_SPAN_SAMPLE, WALL_NS_BUCKETS};
 pub use series::{Sample, SeriesRecorder};
 pub use telediff::{diff_dumps, diff_json_files, DiffConfig, DiffEntry};
 pub use trace::{TraceEvent, TraceRecord, TraceSink, DEFAULT_TRACE_CAPACITY};
-
-/// Well-known metric ids, so instrument sites, reports, and documentation
-/// agree on spelling. See README.md ("Telemetry & profiling") for the
-/// catalogue with units.
-pub mod ids {
-    /// Gauge: events pending in the engine queue (timers + deliveries).
-    pub const ENGINE_QUEUE_DEPTH: &str = "engine.queue_depth";
-    /// Gauge: messages sent but not yet delivered.
-    pub const ENGINE_IN_FLIGHT: &str = "engine.in_flight";
-    /// Gauge: cumulative events popped by the engine.
-    pub const ENGINE_EVENTS: &str = "engine.events_processed";
-    /// Gauge (per AS): beacons currently in the beacon store.
-    pub const STORE_OCCUPANCY: &str = "beacon_store.occupancy";
-    /// Counter (per AS): store inserts that changed state.
-    pub const STORE_INSERTS: &str = "beacon_store.inserts";
-    /// Counter (per AS): storage-limit evictions.
-    pub const STORE_EVICTIONS: &str = "beacon_store.evictions";
-    /// Counter (per AS): beacons sent (origination + propagation).
-    pub const BEACONS_SENT: &str = "beaconing.sent_messages";
-    /// Counter (per AS): bytes of beacons sent.
-    pub const BEACONS_SENT_BYTES: &str = "beaconing.sent_bytes";
-    /// Counter (per AS): beacons delivered.
-    pub const BEACONS_DELIVERED: &str = "beaconing.delivered";
-    /// Counter (per AS): beacons dropped on receive (loop / invalid).
-    pub const BEACONS_DROPPED: &str = "beaconing.dropped";
-    /// Counter: beacons originated.
-    pub const BEACONS_ORIGINATED: &str = "beaconing.originated";
-    /// Histogram: age of a beacon at delivery, seconds.
-    pub const PCB_AGE_AT_DELIVERY: &str = "beaconing.pcb_age_at_delivery_s";
-    /// Histogram: hop count of delivered beacons.
-    pub const PCB_HOPS_AT_DELIVERY: &str = "beaconing.pcb_hops_at_delivery";
-    /// Gauge (per interface): cumulative bytes sent, sampled over time.
-    pub const IFACE_BYTES: &str = "traffic.iface_bytes";
-    /// Gauge (per AS): cumulative bytes sent by the AS.
-    pub const NODE_BYTES: &str = "traffic.node_bytes";
-    /// Gauge: cumulative bytes sent network-wide.
-    pub const TOTAL_BYTES: &str = "traffic.total_bytes";
-    /// Gauge: cumulative messages sent network-wide.
-    pub const TOTAL_MESSAGES: &str = "traffic.total_messages";
-    /// Counter: BGP announcements received, summed over ASes.
-    pub const BGP_ANNOUNCES: &str = "bgp.announces_received";
-    /// Counter: BGP withdrawals received, summed over ASes.
-    pub const BGP_WITHDRAWS: &str = "bgp.withdraws_received";
-    /// Counter: segment registrations at path servers.
-    pub const PS_REGISTRATIONS: &str = "pathserver.registrations";
-    /// Counter: lookups served by a path server.
-    pub const PS_LOOKUPS: &str = "pathserver.lookups";
-    /// Counter: lookups answered from the cache.
-    pub const PS_CACHE_HITS: &str = "pathserver.cache_hits";
-    /// Counter: fault events applied to the link-state overlay
-    /// (state-changing ones only; duplicate downs don't count).
-    pub const CHAOS_FAULT_EVENTS: &str = "chaos.fault_events";
-    /// Gauge: links currently unusable (down or endpoint-AS down).
-    pub const CHAOS_LINKS_DOWN: &str = "chaos.links_down";
-    /// Counter: in-flight messages cancelled because their link failed
-    /// mid-flight.
-    pub const CHAOS_INFLIGHT_CANCELLED: &str = "chaos.in_flight_cancelled";
-    /// Counter: sends/deliveries dropped because the link was already down.
-    pub const CHAOS_DELIVERIES_DROPPED: &str = "chaos.deliveries_dropped";
-    /// Gauge: fraction of probed AS pairs with >= 1 live path, in [0, 1].
-    pub const CHAOS_LIVE_PAIR_FRACTION: &str = "chaos.live_pair_fraction";
-    /// Counter: path-server segment invalidations triggered by faults.
-    pub const CHAOS_PATHS_INVALIDATED: &str = "chaos.paths_invalidated";
-    /// Counter: messages dropped on the wire by the stochastic loss model.
-    pub const LOSS_MESSAGES_DROPPED: &str = "loss.messages_dropped";
-    /// Counter: retransmissions issued by the reliable channel.
-    pub const RELIABLE_RETRANSMITS: &str = "reliable.retransmits";
-    /// Counter: acks received that settled a pending message.
-    pub const RELIABLE_ACKS: &str = "reliable.acks_received";
-    /// Counter: retransmit deadlines that fired (message still pending).
-    pub const RELIABLE_TIMEOUTS: &str = "reliable.timeouts";
-    /// Counter: duplicate deliveries suppressed at receivers.
-    pub const RELIABLE_DUPLICATES: &str = "reliable.duplicates_suppressed";
-    /// Counter: messages abandoned after max retransmit attempts.
-    pub const RELIABLE_GIVE_UPS: &str = "reliable.give_ups";
-    /// Counter: lookups answered from the cache after expiry (stale-served
-    /// `Degraded` answers when a fresh lookup exhausted its retries).
-    pub const PS_DEGRADED_SERVES: &str = "pathserver.degraded_serves";
-    /// Counter: lookups short-circuited by the negative cache.
-    pub const PS_NEGATIVE_HITS: &str = "pathserver.negative_cache_hits";
-    /// Counter: lookups that missed the cache.
-    pub const PS_CACHE_MISSES: &str = "pathserver.cache_misses";
-    /// Counter: expired segments garbage-collected from authoritative
-    /// stores on registration.
-    pub const PS_SEGMENTS_PURGED: &str = "pathserver.segments_purged";
-    /// Counter (per AS): packets a border router forwarded onward.
-    pub const FWD_FORWARDED: &str = "dataplane.packets_forwarded";
-    /// Counter: packets delivered to their destination AS.
-    pub const FWD_DELIVERED: &str = "dataplane.packets_delivered";
-    /// Counter: packets dropped anywhere on the forwarding path (the
-    /// `dataplane.drop.*` counters break this down by reason).
-    pub const FWD_DROPPED: &str = "dataplane.packets_dropped";
-    /// Counter: SCMP error messages emitted by border routers.
-    pub const FWD_SCMP_SENT: &str = "dataplane.scmp_sent";
-    /// Counter: hop-field MACs that verified successfully.
-    pub const FWD_MACS_VERIFIED: &str = "dataplane.macs_verified";
-    /// Counter: hop-field MACs that failed verification.
-    pub const FWD_MACS_REJECTED: &str = "dataplane.macs_rejected";
-    /// Counter (per interface): packets sent out of an egress interface.
-    pub const FWD_IFACE_PACKETS: &str = "dataplane.iface_packets";
-    /// Counter (per interface): wire bytes sent out of an egress
-    /// interface.
-    pub const FWD_IFACE_BYTES: &str = "dataplane.iface_tx_bytes";
-    /// Histogram: AS hop count of delivered packets (deterministic —
-    /// virtual quantity, safe for byte-identical dumps).
-    pub const FWD_HOPS_AT_DELIVERY: &str = "dataplane.hops_at_delivery";
-    /// Counter: drops — hop field owned by a different AS.
-    pub const FWD_DROP_WRONG_AS: &str = "dataplane.drop.wrong_as";
-    /// Counter: drops — hop-field MAC invalid (path alteration).
-    pub const FWD_DROP_BAD_MAC: &str = "dataplane.drop.bad_mac";
-    /// Counter: drops — hop-field authorization expired.
-    pub const FWD_DROP_EXPIRED: &str = "dataplane.drop.expired";
-    /// Counter: drops — packet arrived on an unauthorized interface.
-    pub const FWD_DROP_WRONG_INGRESS: &str = "dataplane.drop.wrong_ingress";
-    /// Counter: drops — PCFS pointer ran past the end of the path.
-    pub const FWD_DROP_PATH_EXHAUSTED: &str = "dataplane.drop.path_exhausted";
-    /// Counter: drops — the next link on the path is down (SCMP emitted).
-    pub const FWD_DROP_LINK_DOWN: &str = "dataplane.drop.link_down";
-    /// Counter: drops — the hop field names a nonexistent egress
-    /// interface.
-    pub const FWD_DROP_NO_INTERFACE: &str = "dataplane.drop.no_interface";
-    /// Counter: drops — the packet's source AS is not in the topology.
-    pub const FWD_DROP_UNKNOWN_SOURCE: &str = "dataplane.drop.unknown_source";
-    /// Counter: SCMP revocation signals suppressed by the per-link rate
-    /// limiter (dedup within the holdoff window).
-    pub const FWD_SCMP_SUPPRESSED: &str = "dataplane.scmp_suppressed";
-    /// Counter: dataplane-driven revocation reactions executed at a path
-    /// server (one per admitted SCMP signal, storms deduplicated).
-    pub const PS_REVOCATIONS: &str = "pathserver.revocations";
-    /// Counter: segments pulled from a path server by revocations.
-    pub const PS_SEGMENTS_REVOKED: &str = "pathserver.segments_revoked";
-    /// Counter: revoked segments re-registered after their revocation TTL
-    /// lapsed (expiry-driven path restoration).
-    pub const PS_SEGMENTS_RESTORED: &str = "pathserver.segments_restored";
-    /// Counter: path-server operations rejected with a typed
-    /// `ServerError` instead of panicking (wrong role / wrong segment
-    /// type).
-    pub const PS_REJECTED_OPS: &str = "pathserver.rejected_ops";
-    /// Counter: SCMP notifications processed by endhost daemons.
-    pub const RECOVERY_SCMP_RECEIVED: &str = "recovery.scmp_received";
-    /// Counter: flows switched onto an alternate cached path on SCMP.
-    pub const RECOVERY_FAILOVERS: &str = "recovery.path_failovers";
-    /// Counter: flow paths restored after failure marks expired.
-    pub const RECOVERY_RESTORED: &str = "recovery.paths_restored";
-    /// Counter: path-server re-queries launched when every cached path of
-    /// a flow was dead.
-    pub const RECOVERY_REQUERIES: &str = "recovery.requeries";
-    /// Counter: flow ticks skipped because the daemon had no usable path.
-    pub const RECOVERY_NO_PATH: &str = "recovery.no_path_drops";
-    /// Counter: requests admitted to the path server's bounded queue.
-    pub const PS_OVERLOAD_ADMITTED: &str = "pathserver.overload_admitted";
-    /// Counter: requests shed because the client's token bucket was
-    /// empty.
-    pub const PS_SHED_RATE_LIMITED: &str = "pathserver.shed_rate_limited";
-    /// Counter: requests shed because the bounded queue was full of
-    /// equal-or-higher-priority work.
-    pub const PS_SHED_QUEUE_FULL: &str = "pathserver.shed_queue_full";
-    /// Counter: queued requests evicted by higher-priority arrivals.
-    pub const PS_SHED_EVICTED: &str = "pathserver.shed_evicted";
-    /// Gauge: current depth of the bounded admission queue.
-    pub const PS_QUEUE_DEPTH: &str = "pathserver.queue_depth";
-    /// Histogram: time a request spent in the admission queue before
-    /// service, in virtual microseconds.
-    pub const PS_TIME_IN_QUEUE_US: &str = "pathserver.time_in_queue_us";
-    /// Counter: times brownout mode was entered.
-    pub const PS_BROWNOUT_ENTRIES: &str = "pathserver.brownout_entries";
-    /// Counter: times brownout mode was exited.
-    pub const PS_BROWNOUT_EXITS: &str = "pathserver.brownout_exits";
-    /// Counter: cache-miss lookups answered stale under brownout or an
-    /// open circuit breaker.
-    pub const PS_BROWNOUT_STALE_SERVES: &str = "pathserver.brownout_stale_serves";
-    /// Counter: circuit-breaker trips on consecutive upstream failures.
-    pub const PS_BREAKER_TRIPS: &str = "pathserver.breaker_trips";
-    /// Counter: half-open recovery probes dispatched by the breaker.
-    pub const PS_BREAKER_PROBES: &str = "pathserver.breaker_probes";
-    /// Counter: upstream lookups short-circuited while the breaker was
-    /// open.
-    pub const PS_BREAKER_SHORT_CIRCUITS: &str = "pathserver.breaker_short_circuits";
-    /// Counter: busy signals that re-armed a reliable sender's deadline
-    /// on the penalized backoff schedule.
-    pub const RELIABLE_BUSY_BACKOFFS: &str = "reliable.busy_backoffs";
-}
 
 /// Configuration of a telemetry handle.
 #[derive(Clone, Copy, Debug)]
@@ -324,7 +146,7 @@ impl Telemetry {
 
     /// Increments a counter (no-op when disabled).
     #[inline]
-    pub fn inc(&mut self, id: &'static str, label: Label, delta: u64) {
+    pub fn inc(&mut self, id: MetricId, label: Label, delta: u64) {
         if self.enabled {
             self.metrics.inc_counter(id, label, delta);
         }
@@ -333,7 +155,7 @@ impl Telemetry {
     /// Records a gauge snapshot: updates the registry's gauge *and*
     /// appends a virtual-time sample (no-op when disabled).
     #[inline]
-    pub fn sample(&mut self, now: SimTime, id: &'static str, label: Label, value: f64) {
+    pub fn sample(&mut self, now: SimTime, id: MetricId, label: Label, value: f64) {
         if self.enabled {
             self.metrics.set_gauge(id, label, value);
             self.series.record(self.run, now, id, label, value);
@@ -342,7 +164,7 @@ impl Telemetry {
 
     /// Records a histogram observation (no-op when disabled).
     #[inline]
-    pub fn observe(&mut self, id: &'static str, label: Label, value: f64) {
+    pub fn observe(&mut self, id: MetricId, label: Label, value: f64) {
         if self.enabled {
             self.metrics.observe(id, label, value);
         }

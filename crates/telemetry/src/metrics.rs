@@ -1,21 +1,26 @@
 //! The metrics registry: named counters, gauges, and fixed-bucket
-//! histograms, keyed by a static metric id plus a [`Label`].
+//! histograms, keyed by a [`MetricId`] plus a [`Label`].
 //!
-//! Every map in here is a `BTreeMap` keyed by `(&'static str, Label)`, so
-//! iteration — and therefore every export — is in a deterministic order
+//! An instance lives in a slab addressed by array index — the metric id,
+//! then the label's dense index — so an update costs a bounds check, not
+//! a tree walk over name strings. Iteration visits ids in table order
+//! (which is name order, see [`crate::ids`]) and labels in [`Label`]
+//! order, so every export is in a deterministic `(name, label)` order
 //! independent of insertion history. Two runs with the same seed produce
 //! byte-identical metric dumps; the determinism test in
 //! `tests/telemetry_determinism.rs` relies on exactly this.
 
-use std::collections::BTreeMap;
-
 use serde::Serialize;
+
+use crate::ids::MetricId;
 
 /// The label dimension of a metric instance.
 ///
 /// Labels are raw dense indices (`AsIndex.0`, `LinkIndex.0`, `IfId.0`)
 /// rather than the topology types themselves so the telemetry crate sits
-/// below every other crate in the dependency graph.
+/// below every other crate in the dependency graph. The registry relies
+/// on the density: an `As` or `Link` instance occupies a slot in a table
+/// as long as the largest index recorded.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Serialize)]
 pub enum Label {
     /// A network-wide metric.
@@ -73,11 +78,11 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&mut self, value: f64) {
+        // First bound the value does not exceed; `len()` is the overflow
+        // bucket, where a NaN also lands (as it compares below nothing).
         let bucket = self
             .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
+            .partition_point(|&b| b < value || value.is_nan());
         self.counts[bucket] += 1;
         self.count += 1;
         self.sum += value;
@@ -177,81 +182,185 @@ impl Histogram {
     }
 }
 
+/// Every instance of one metric id, laid out by label shape: a scalar for
+/// [`Label::Global`], a table indexed by the dense AS / link index, and
+/// per AS a short list sorted by interface id. `None` marks a slot that
+/// was never recorded, so an instance incremented by zero still exists.
+/// Tables grow on first use to the largest index seen; nothing is sized
+/// to the topology up front.
+#[derive(Clone, Debug)]
+struct Slab<T> {
+    global: Option<T>,
+    by_as: Vec<Option<T>>,
+    by_iface: Vec<Vec<(u16, T)>>,
+    by_link: Vec<Option<T>>,
+}
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
+            global: None,
+            by_as: Vec::new(),
+            by_iface: Vec::new(),
+            by_link: Vec::new(),
+        }
+    }
+}
+
+/// The slot at `index`, growing the table to reach it.
+#[inline]
+fn slot_at<S: Default>(table: &mut Vec<S>, index: usize) -> &mut S {
+    if index >= table.len() {
+        table.resize_with(index + 1, S::default);
+    }
+    &mut table[index]
+}
+
+impl<T> Slab<T> {
+    #[inline]
+    fn get_or_insert_with(&mut self, label: Label, init: impl FnOnce() -> T) -> &mut T {
+        match label {
+            Label::Global => self.global.get_or_insert_with(init),
+            Label::As(n) => slot_at(&mut self.by_as, n as usize).get_or_insert_with(init),
+            Label::Link(l) => slot_at(&mut self.by_link, l as usize).get_or_insert_with(init),
+            Label::Iface(n, interface) => {
+                let list = slot_at(&mut self.by_iface, n as usize);
+                let at = match list.binary_search_by_key(&interface, |&(i, _)| i) {
+                    Ok(at) => at,
+                    Err(at) => {
+                        list.insert(at, (interface, init()));
+                        at
+                    }
+                };
+                &mut list[at].1
+            }
+        }
+    }
+
+    fn get(&self, label: Label) -> Option<&T> {
+        match label {
+            Label::Global => self.global.as_ref(),
+            Label::As(n) => self.by_as.get(n as usize)?.as_ref(),
+            Label::Link(l) => self.by_link.get(l as usize)?.as_ref(),
+            Label::Iface(n, interface) => {
+                let list = self.by_iface.get(n as usize)?;
+                let at = list.binary_search_by_key(&interface, |&(i, _)| i).ok()?;
+                Some(&list[at].1)
+            }
+        }
+    }
+
+    /// Recorded instances in [`Label`] order.
+    fn iter(&self) -> impl Iterator<Item = (Label, &T)> + '_ {
+        fn dense<T>(
+            table: &[Option<T>],
+            label: fn(u32) -> Label,
+        ) -> impl Iterator<Item = (Label, &T)> + '_ {
+            table
+                .iter()
+                .enumerate()
+                .filter_map(move |(i, slot)| Some((label(i as u32), slot.as_ref()?)))
+        }
+        let ifaces = self.by_iface.iter().enumerate().flat_map(|(n, list)| {
+            list.iter()
+                .map(move |(interface, v)| (Label::Iface(n as u32, *interface), v))
+        });
+        (self.global.iter().map(|v| (Label::Global, v)))
+            .chain(dense(&self.by_as, Label::As))
+            .chain(ifaces)
+            .chain(dense(&self.by_link, Label::Link))
+    }
+}
+
+// One metric kind is a `Vec<Slab<T>>` indexed by the id's table position
+// and grown on first use; these three address it.
+
+#[inline]
+fn instance<T>(
+    slabs: &mut Vec<Slab<T>>,
+    id: MetricId,
+    label: Label,
+    init: impl FnOnce() -> T,
+) -> &mut T {
+    slot_at(slabs, id.index()).get_or_insert_with(label, init)
+}
+
+fn lookup<T>(slabs: &[Slab<T>], id: MetricId, label: Label) -> Option<&T> {
+    slabs.get(id.index())?.get(label)
+}
+
+/// Recorded instances in `(name, label)` order.
+fn instances<T>(slabs: &[Slab<T>]) -> impl Iterator<Item = (MetricId, Label, &T)> + '_ {
+    slabs.iter().enumerate().flat_map(|(index, slab)| {
+        let id = MetricId::from_index(index);
+        slab.iter().map(move |(label, v)| (id, label, v))
+    })
+}
+
 /// The registry: all counters, gauges, and histograms of one run.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<(&'static str, Label), u64>,
-    gauges: BTreeMap<(&'static str, Label), f64>,
-    histograms: BTreeMap<(&'static str, Label), Histogram>,
+    counters: Vec<Slab<u64>>,
+    gauges: Vec<Slab<f64>>,
+    histograms: Vec<Slab<Histogram>>,
 }
 
 impl MetricsRegistry {
-    /// An empty registry.
+    /// An empty registry (allocates nothing until the first record).
     pub fn new() -> MetricsRegistry {
         MetricsRegistry::default()
     }
 
     /// Adds `delta` to a counter, creating it at zero on first use.
-    pub fn inc_counter(&mut self, id: &'static str, label: Label, delta: u64) {
-        *self.counters.entry((id, label)).or_insert(0) += delta;
+    #[inline]
+    pub fn inc_counter(&mut self, id: MetricId, label: Label, delta: u64) {
+        *instance(&mut self.counters, id, label, || 0) += delta;
     }
 
     /// Sets a gauge to `value`.
-    pub fn set_gauge(&mut self, id: &'static str, label: Label, value: f64) {
-        self.gauges.insert((id, label), value);
+    pub fn set_gauge(&mut self, id: MetricId, label: Label, value: f64) {
+        *instance(&mut self.gauges, id, label, || value) = value;
     }
 
     /// Records an observation into a histogram with [`DEFAULT_BUCKETS`].
-    pub fn observe(&mut self, id: &'static str, label: Label, value: f64) {
-        self.histograms
-            .entry((id, label))
-            .or_default()
-            .observe(value);
+    pub fn observe(&mut self, id: MetricId, label: Label, value: f64) {
+        self.observe_with_buckets(id, label, &DEFAULT_BUCKETS, value);
     }
 
     /// Records an observation into a histogram with custom buckets (the
     /// buckets apply only on first creation of the instance).
-    pub fn observe_with_buckets(
-        &mut self,
-        id: &'static str,
-        label: Label,
-        bounds: &[f64],
-        value: f64,
-    ) {
-        self.histograms
-            .entry((id, label))
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(value);
+    pub fn observe_with_buckets(&mut self, id: MetricId, label: Label, bounds: &[f64], value: f64) {
+        instance(&mut self.histograms, id, label, || Histogram::new(bounds)).observe(value);
     }
 
     /// Current counter value (0 if never incremented).
-    pub fn counter(&self, id: &'static str, label: Label) -> u64 {
-        self.counters.get(&(id, label)).copied().unwrap_or(0)
+    pub fn counter(&self, id: MetricId, label: Label) -> u64 {
+        lookup(&self.counters, id, label).copied().unwrap_or(0)
     }
 
     /// Current gauge value.
-    pub fn gauge(&self, id: &'static str, label: Label) -> Option<f64> {
-        self.gauges.get(&(id, label)).copied()
+    pub fn gauge(&self, id: MetricId, label: Label) -> Option<f64> {
+        lookup(&self.gauges, id, label).copied()
     }
 
     /// The histogram instance for `(id, label)`, if any.
-    pub fn histogram(&self, id: &'static str, label: Label) -> Option<&Histogram> {
-        self.histograms.get(&(id, label))
+    pub fn histogram(&self, id: MetricId, label: Label) -> Option<&Histogram> {
+        lookup(&self.histograms, id, label)
     }
 
-    /// All counters in deterministic `(id, label)` order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, Label, u64)> + '_ {
-        self.counters.iter().map(|(&(id, l), &v)| (id, l, v))
+    /// All counters in deterministic `(name, label)` order.
+    pub fn counters(&self) -> impl Iterator<Item = (MetricId, Label, u64)> + '_ {
+        instances(&self.counters).map(|(id, l, &v)| (id, l, v))
     }
 
-    /// All gauges in deterministic `(id, label)` order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, Label, f64)> + '_ {
-        self.gauges.iter().map(|(&(id, l), &v)| (id, l, v))
+    /// All gauges in deterministic `(name, label)` order.
+    pub fn gauges(&self) -> impl Iterator<Item = (MetricId, Label, f64)> + '_ {
+        instances(&self.gauges).map(|(id, l, &v)| (id, l, v))
     }
 
-    /// All histograms in deterministic `(id, label)` order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, Label, &Histogram)> + '_ {
-        self.histograms.iter().map(|(&(id, l), h)| (id, l, h))
+    /// All histograms in deterministic `(name, label)` order.
+    pub fn histograms(&self) -> impl Iterator<Item = (MetricId, Label, &Histogram)> + '_ {
+        instances(&self.histograms)
     }
 
     /// True when nothing was ever recorded.
@@ -262,43 +371,173 @@ impl MetricsRegistry {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::ids;
 
     #[test]
     fn counters_accumulate_and_default_to_zero() {
         let mut m = MetricsRegistry::new();
-        m.inc_counter("x", Label::Global, 2);
-        m.inc_counter("x", Label::Global, 3);
-        m.inc_counter("x", Label::As(1), 1);
-        assert_eq!(m.counter("x", Label::Global), 5);
-        assert_eq!(m.counter("x", Label::As(1)), 1);
-        assert_eq!(m.counter("y", Label::Global), 0);
+        m.inc_counter(ids::BEACONS_SENT, Label::Global, 2);
+        m.inc_counter(ids::BEACONS_SENT, Label::Global, 3);
+        m.inc_counter(ids::BEACONS_SENT, Label::As(1), 1);
+        assert_eq!(m.counter(ids::BEACONS_SENT, Label::Global), 5);
+        assert_eq!(m.counter(ids::BEACONS_SENT, Label::As(1)), 1);
+        assert_eq!(m.counter(ids::BEACONS_SENT, Label::As(0)), 0);
+        assert_eq!(m.counter(ids::BEACONS_DROPPED, Label::Global), 0);
+        assert_eq!(m.counter(ids::TOTAL_MESSAGES, Label::Global), 0);
+    }
+
+    #[test]
+    fn a_counter_incremented_by_zero_still_exists() {
+        let mut m = MetricsRegistry::new();
+        assert!(m.is_empty());
+        m.inc_counter(ids::FWD_DROPPED, Label::As(2), 0);
+        m.inc_counter(ids::FWD_IFACE_BYTES, Label::Iface(1, 4), 0);
+        assert!(!m.is_empty());
+        let all: Vec<_> = m.counters().collect();
+        assert_eq!(
+            all,
+            vec![
+                (ids::FWD_IFACE_BYTES, Label::Iface(1, 4), 0),
+                (ids::FWD_DROPPED, Label::As(2), 0),
+            ]
+        );
     }
 
     #[test]
     fn gauges_overwrite() {
         let mut m = MetricsRegistry::new();
-        m.set_gauge("depth", Label::Global, 3.0);
-        m.set_gauge("depth", Label::Global, 7.0);
-        assert_eq!(m.gauge("depth", Label::Global), Some(7.0));
-        assert_eq!(m.gauge("other", Label::Global), None);
+        m.set_gauge(ids::ENGINE_QUEUE_DEPTH, Label::Global, 3.0);
+        m.set_gauge(ids::ENGINE_QUEUE_DEPTH, Label::Global, 7.0);
+        assert_eq!(m.gauge(ids::ENGINE_QUEUE_DEPTH, Label::Global), Some(7.0));
+        assert_eq!(m.gauge(ids::ENGINE_IN_FLIGHT, Label::Global), None);
     }
 
     #[test]
     fn iteration_order_is_deterministic() {
-        // Insert in two different orders; iteration must agree.
+        // Insert in two different orders; iteration must agree, and it
+        // must be (name, label) order.
+        let (a_id, b_id) = (ids::BEACONS_SENT, ids::FWD_FORWARDED);
+        assert!(a_id.name() < b_id.name());
         let mut a = MetricsRegistry::new();
-        a.inc_counter("b", Label::As(2), 1);
-        a.inc_counter("a", Label::Global, 1);
-        a.inc_counter("b", Label::As(1), 1);
+        a.inc_counter(b_id, Label::As(2), 1);
+        a.inc_counter(a_id, Label::Global, 1);
+        a.inc_counter(b_id, Label::As(1), 1);
         let mut b = MetricsRegistry::new();
-        b.inc_counter("b", Label::As(1), 1);
-        b.inc_counter("b", Label::As(2), 1);
-        b.inc_counter("a", Label::Global, 1);
+        b.inc_counter(b_id, Label::As(1), 1);
+        b.inc_counter(b_id, Label::As(2), 1);
+        b.inc_counter(a_id, Label::Global, 1);
         let ka: Vec<_> = a.counters().map(|(id, l, _)| (id, l)).collect();
         let kb: Vec<_> = b.counters().map(|(id, l, _)| (id, l)).collect();
         assert_eq!(ka, kb);
-        assert_eq!(ka[0].0, "a");
+        assert_eq!(
+            ka,
+            vec![
+                (a_id, Label::Global),
+                (b_id, Label::As(1)),
+                (b_id, Label::As(2))
+            ]
+        );
+    }
+
+    type Key = (&'static str, Label);
+
+    /// The reference the registry replaced: one ordered map per kind,
+    /// keyed by `(name, label)`.
+    #[derive(Default)]
+    struct Model {
+        counters: BTreeMap<Key, u64>,
+        gauges: BTreeMap<Key, f64>,
+        histograms: BTreeMap<Key, Histogram>,
+    }
+
+    fn label_of(shape: u8, a: u32, b: u16) -> Label {
+        match shape {
+            0 => Label::Global,
+            1 => Label::As(a),
+            2 => Label::Iface(a, b),
+            _ => Label::Link(a),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        #[test]
+        fn registry_agrees_with_an_ordered_map_model(
+            ops in proptest::collection::vec(
+                (0u8..4, 0usize..ids::ALL.len(), 0u8..4, 0u32..9, 0u16..5, 0u64..4),
+                0..300,
+            )
+        ) {
+            let custom = [1.0, 2.0];
+            let mut registry = MetricsRegistry::new();
+            let mut model = Model::default();
+            for &(op, id, shape, a, b, n) in &ops {
+                let id = ids::ALL[id];
+                let label = label_of(shape, a, b);
+                let key = (id.name(), label);
+                let value = n as f64;
+                match op {
+                    0 => {
+                        // `n` is 0 a quarter of the time.
+                        registry.inc_counter(id, label, n);
+                        *model.counters.entry(key).or_insert(0) += n;
+                    }
+                    1 => {
+                        registry.set_gauge(id, label, value);
+                        model.gauges.insert(key, value);
+                    }
+                    2 => {
+                        registry.observe(id, label, value);
+                        model.histograms.entry(key).or_default().observe(value);
+                    }
+                    _ => {
+                        registry.observe_with_buckets(id, label, &custom, value);
+                        let h = model.histograms.entry(key);
+                        h.or_insert_with(|| Histogram::new(&custom)).observe(value);
+                    }
+                }
+            }
+
+            let counters: Vec<_> = registry.counters().map(|(id, l, v)| ((id.name(), l), v)).collect();
+            let expected: Vec<_> = model.counters.iter().map(|(&k, &v)| (k, v)).collect();
+            prop_assert_eq!(counters, expected);
+            let gauges: Vec<_> = registry.gauges().map(|(id, l, v)| ((id.name(), l), v)).collect();
+            let expected: Vec<_> = model.gauges.iter().map(|(&k, &v)| (k, v)).collect();
+            prop_assert_eq!(gauges, expected);
+            let histograms: Vec<_> = registry
+                .histograms()
+                .map(|(id, l, h)| ((id.name(), l), format!("{h:?}")))
+                .collect();
+            let expected: Vec<_> =
+                model.histograms.iter().map(|(&k, h)| (k, format!("{h:?}"))).collect();
+            prop_assert_eq!(histograms, expected);
+            prop_assert_eq!(registry.is_empty(), ops.is_empty());
+
+            // Point reads, hits and misses alike.
+            for &id in ids::ALL {
+                for shape in 0..4 {
+                    for (a, b) in [(0, 0), (3, 1), (8, 4), (9, 0), (2, 5)] {
+                        let label = label_of(shape, a, b);
+                        let key = (id.name(), label);
+                        prop_assert_eq!(
+                            registry.counter(id, label),
+                            model.counters.get(&key).copied().unwrap_or(0)
+                        );
+                        prop_assert_eq!(registry.gauge(id, label), model.gauges.get(&key).copied());
+                        prop_assert_eq!(
+                            registry.histogram(id, label).map(|h| format!("{h:?}")),
+                            model.histograms.get(&key).map(|h| format!("{h:?}"))
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -315,6 +554,38 @@ mod tests {
         assert_eq!(h.min(), Some(0.5));
         assert_eq!(h.max(), Some(9.0));
         assert!((h.sum() - 18.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn observe_finds_the_bucket_a_linear_scan_finds() {
+        let linear = |v: f64| {
+            let first = DEFAULT_BUCKETS.iter().position(|&b| v <= b);
+            first.unwrap_or(DEFAULT_BUCKETS.len())
+        };
+        let bucket_of = |v: f64| {
+            let mut h = Histogram::default();
+            h.observe(v);
+            h.bucket_counts().iter().position(|&c| c == 1).unwrap()
+        };
+        for (i, &bound) in DEFAULT_BUCKETS.iter().enumerate() {
+            // On a bound: that bound's bucket. A hair above: the next one
+            // (the overflow bucket after the last bound).
+            assert_eq!(bucket_of(bound), i);
+            assert_eq!(bucket_of(bound * (1.0 + f64::EPSILON)), i + 1);
+            assert_eq!(bucket_of(bound * (1.0 - f64::EPSILON)), i);
+        }
+        for v in [
+            f64::NEG_INFINITY,
+            -1.0,
+            0.0,
+            3.0,
+            1e9,
+            f64::INFINITY,
+            f64::NAN,
+        ] {
+            assert_eq!(bucket_of(v), linear(v), "value {v}");
+        }
+        assert_eq!(bucket_of(f64::NAN), DEFAULT_BUCKETS.len());
     }
 
     #[test]

@@ -71,22 +71,63 @@ pub const WALL_NS_BUCKETS: [f64; 22] = [
     250_000.0, 500_000.0, 1e6, 2.5e6, 5e6, 1e7, 2.5e7, 5e7, 1e8, 2.5e8, 5e8, 1e9,
 ];
 
+/// A hot span ([`Profiler::hot_span`]) reads the clock on the first call of
+/// its phase and on every `HOT_SPAN_SAMPLE`-th call after it; every call is
+/// counted. Two clock reads cost more than the border-router hop they
+/// would time, so per-hop spans are sampled; the sampled subset still
+/// fills the latency histogram with thousands of observations per run.
+pub const HOT_SPAN_SAMPLE: u64 = 16;
+
 /// Accumulated wall-clock statistics of one phase.
 #[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct PhaseStats {
-    /// Number of completed scopes.
+    /// Number of completed scopes — the true operation count, sampled or
+    /// not.
     pub calls: u64,
-    /// Total wall-clock time, nanoseconds.
+    /// Scopes whose wall-clock time was measured (equals `calls` except
+    /// for hot spans, which time one call in [`HOT_SPAN_SAMPLE`]).
+    pub timed: u64,
+    /// Total wall-clock time of the timed scopes, nanoseconds.
     pub total_ns: u64,
-    /// Longest single scope, nanoseconds.
+    /// Longest single timed scope, nanoseconds.
     pub max_ns: u64,
 }
 
 impl PhaseStats {
-    /// Mean scope duration in nanoseconds (0 when no calls).
+    /// Mean duration of a timed scope in nanoseconds (0 when none).
     pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.calls).unwrap_or(0)
+        self.total_ns.checked_div(self.timed).unwrap_or(0)
     }
+}
+
+/// Everything recorded about one phase.
+#[derive(Clone, Debug)]
+struct Phase {
+    stats: PhaseStats,
+    /// Durations of the timed scopes ([`WALL_NS_BUCKETS`]).
+    latency: Histogram,
+}
+
+impl Default for Phase {
+    fn default() -> Self {
+        Phase {
+            stats: PhaseStats::default(),
+            latency: Histogram::new(&WALL_NS_BUCKETS),
+        }
+    }
+}
+
+impl Phase {
+    fn time(&mut self, ns: u64) {
+        self.stats.timed += 1;
+        self.stats.total_ns += ns;
+        self.stats.max_ns = self.stats.max_ns.max(ns);
+        self.latency.observe(ns as f64);
+    }
+}
+
+fn elapsed_ns(start: Instant) -> u64 {
+    start.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
 /// Aggregates wall-clock spans per named phase, including a fixed-bucket
@@ -94,18 +135,22 @@ impl PhaseStats {
 #[derive(Clone, Debug, Default)]
 pub struct Profiler {
     enabled: bool,
-    phases: BTreeMap<&'static str, PhaseStats>,
-    latencies: BTreeMap<&'static str, Histogram>,
+    phases: BTreeMap<&'static str, Phase>,
+}
+
+/// An open hot span; hand it back to [`Profiler::finish`].
+#[must_use = "a hot span records its time only when passed to Profiler::finish"]
+#[derive(Debug)]
+pub struct HotSpan {
+    phase: &'static str,
+    /// `None` when this call is counted but not timed.
+    start: Option<Instant>,
 }
 
 impl Profiler {
     /// A profiler that records nothing; `scope` costs one branch.
     pub fn disabled() -> Profiler {
-        Profiler {
-            enabled: false,
-            phases: BTreeMap::new(),
-            latencies: BTreeMap::new(),
-        }
+        Profiler::default()
     }
 
     /// A recording profiler.
@@ -113,7 +158,6 @@ impl Profiler {
         Profiler {
             enabled: true,
             phases: BTreeMap::new(),
-            latencies: BTreeMap::new(),
         }
     }
 
@@ -138,51 +182,72 @@ impl Profiler {
         }
     }
 
-    /// Records an already-measured span.
-    pub fn record_ns(&mut self, phase: &'static str, ns: u64) {
-        let stats = self.phases.entry(phase).or_default();
-        stats.calls += 1;
-        stats.total_ns += ns;
-        stats.max_ns = stats.max_ns.max(ns);
-        self.latencies
-            .entry(phase)
-            .or_insert_with(|| Histogram::new(&WALL_NS_BUCKETS))
-            .observe(ns as f64);
+    /// Opens a span around an operation too short to time on every call
+    /// (a border-router hop, one MAC check): the call is always counted,
+    /// the clock is read on one call in [`HOT_SPAN_SAMPLE`], starting
+    /// with the phase's first. Not an RAII guard, so the caller stays
+    /// free to use the rest of the telemetry handle while the span is
+    /// open. A disabled profiler counts nothing and never reads the
+    /// clock.
+    #[inline]
+    pub fn hot_span(&mut self, phase: &'static str) -> HotSpan {
+        let mut start = None;
+        if self.enabled {
+            let stats = &mut self.phases.entry(phase).or_default().stats;
+            if stats.calls.is_multiple_of(HOT_SPAN_SAMPLE) {
+                start = Some(Instant::now());
+            }
+            stats.calls += 1;
+        }
+        HotSpan { phase, start }
     }
 
-    /// Folds a shard-local latency histogram (bounds [`WALL_NS_BUCKETS`],
-    /// values in nanoseconds) into a phase: bucket counts merge via
-    /// [`Histogram::merge`] and the phase stats absorb the shard's call
-    /// count, total, and max. This is how the parallel batch-verification
-    /// shards report per-item latencies without sharing the profiler.
-    pub fn absorb(&mut self, phase: &'static str, shard: &Histogram) {
-        if shard.count() == 0 {
-            return;
+    /// Closes a hot span, recording its duration if this call was timed.
+    #[inline]
+    pub fn finish(&mut self, span: HotSpan) {
+        if let Some(start) = span.start {
+            let ns = elapsed_ns(start);
+            self.phases.entry(span.phase).or_default().time(ns);
         }
-        let stats = self.phases.entry(phase).or_default();
-        stats.calls += shard.count();
-        stats.total_ns += shard.sum() as u64;
-        stats.max_ns = stats.max_ns.max(shard.max().unwrap_or(0.0) as u64);
-        self.latencies
-            .entry(phase)
-            .or_insert_with(|| Histogram::new(&WALL_NS_BUCKETS))
-            .merge(shard);
+    }
+
+    /// Records an already-measured span.
+    pub fn record_ns(&mut self, phase: &'static str, ns: u64) {
+        let phase = self.phases.entry(phase).or_default();
+        phase.stats.calls += 1;
+        phase.time(ns);
+    }
+
+    /// Folds a shard-local profiler into this one, phase by phase: call
+    /// and timed counts and totals add, maxima combine, latency
+    /// histograms merge via [`Histogram::merge`]. This is how the
+    /// parallel batch-verification shards report their spans without
+    /// sharing the profiler.
+    pub fn absorb(&mut self, shard: &Profiler) {
+        for (&name, theirs) in &shard.phases {
+            let mine = self.phases.entry(name).or_default();
+            mine.stats.calls += theirs.stats.calls;
+            mine.stats.timed += theirs.stats.timed;
+            mine.stats.total_ns += theirs.stats.total_ns;
+            mine.stats.max_ns = mine.stats.max_ns.max(theirs.stats.max_ns);
+            mine.latency.merge(&theirs.latency);
+        }
     }
 
     /// The stats of one phase, if it ever ran.
     pub fn stats(&self, phase: &str) -> Option<PhaseStats> {
-        self.phases.get(phase).copied()
+        self.phases.get(phase).map(|p| p.stats)
     }
 
-    /// The latency histogram of one phase (nanosecond buckets), if the
-    /// phase ever ran.
+    /// The latency histogram of one phase's timed scopes (nanosecond
+    /// buckets), if the phase ever ran.
     pub fn latency(&self, phase: &str) -> Option<&Histogram> {
-        self.latencies.get(phase)
+        self.phases.get(phase).map(|p| &p.latency)
     }
 
     /// All phases in deterministic name order.
     pub fn phases(&self) -> impl Iterator<Item = (&'static str, PhaseStats)> + '_ {
-        self.phases.iter().map(|(&p, &s)| (p, s))
+        self.phases.iter().map(|(&name, p)| (name, p.stats))
     }
 
     /// True when no span was ever recorded.
@@ -201,8 +266,7 @@ pub struct ProfileScope<'a> {
 impl Drop for ProfileScope<'_> {
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            self.profiler.record_ns(self.phase, ns);
+            self.profiler.record_ns(self.phase, elapsed_ns(start));
         }
     }
 }
@@ -241,7 +305,7 @@ mod tests {
         p.record_ns("x", 30);
         p.record_ns("x", 20);
         let s = p.stats("x").unwrap();
-        assert_eq!((s.calls, s.total_ns, s.max_ns), (3, 60, 30));
+        assert_eq!((s.calls, s.timed, s.total_ns, s.max_ns), (3, 3, 60, 30));
         assert_eq!(s.mean_ns(), 20);
     }
 
@@ -260,21 +324,75 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_shard_histograms_into_stats_and_latency() {
+    fn hot_spans_count_every_call_and_time_one_in_sixteen() {
+        let mut p = Profiler::enabled();
+        let n = 3 * HOT_SPAN_SAMPLE + 5;
+        let mut timed = 0;
+        for call in 0..n {
+            let span = p.hot_span(phase::FWD_FORWARD);
+            assert_eq!(span.start.is_some(), call.is_multiple_of(HOT_SPAN_SAMPLE));
+            timed += u64::from(span.start.is_some());
+            p.finish(span);
+        }
+        let s = p.stats(phase::FWD_FORWARD).unwrap();
+        assert_eq!(s.calls, n, "every span opened is a call");
+        assert_eq!((s.timed, timed), (4, 4));
+        assert_eq!(p.latency(phase::FWD_FORWARD).unwrap().count(), 4);
+        assert!(s.max_ns <= s.total_ns);
+    }
+
+    #[test]
+    fn first_hot_span_of_each_phase_is_timed() {
+        // A phase that ran once still has a latency row.
+        let mut p = Profiler::enabled();
+        for name in [phase::FWD_FORWARD, phase::FWD_VERIFY] {
+            let span = p.hot_span(name);
+            p.finish(span);
+            let s = p.stats(name).unwrap();
+            assert_eq!((s.calls, s.timed), (1, 1));
+            assert_eq!(p.latency(name).unwrap().count(), 1);
+        }
+    }
+
+    #[test]
+    fn disabled_profiler_never_reads_the_clock() {
+        let mut p = Profiler::disabled();
+        for _ in 0..2 * HOT_SPAN_SAMPLE {
+            let span = p.hot_span(phase::FWD_FORWARD);
+            assert!(span.start.is_none());
+            p.finish(span);
+        }
+        assert!(p.scope(phase::ORIGINATION).start.is_none());
+        assert!(p.is_empty());
+    }
+
+    #[test]
+    fn absorb_adds_shard_calls_timings_and_latencies() {
         let mut p = Profiler::enabled();
         p.record_ns("v", 1_000);
-        let mut shard = Histogram::new(&WALL_NS_BUCKETS);
-        shard.observe(500.0);
-        shard.observe(3_000.0);
-        p.absorb("v", &shard);
+        // Two shards of 20 and 7 jobs: calls must come out as jobs
+        // verified, timed as what the shards' own sampling measured.
+        let mut jobs = 0;
+        for shard_jobs in [20, 7] {
+            let mut shard = Profiler::enabled();
+            for _ in 0..shard_jobs {
+                let span = shard.hot_span("v");
+                shard.finish(span);
+            }
+            shard.record_ns("only_in_shard", 5);
+            p.absorb(&shard);
+            jobs += shard_jobs;
+        }
         let s = p.stats("v").unwrap();
-        assert_eq!(s.calls, 3);
-        assert_eq!(s.total_ns, 4_500);
-        assert_eq!(s.max_ns, 3_000);
-        assert_eq!(p.latency("v").unwrap().count(), 3);
-        // Absorbing an empty shard is a no-op.
-        p.absorb("v", &Histogram::new(&WALL_NS_BUCKETS));
-        assert_eq!(p.stats("v").unwrap().calls, 3);
+        assert_eq!(s.calls, 1 + jobs);
+        assert_eq!(s.timed, 1 + 2 + 1);
+        assert_eq!(p.latency("v").unwrap().count(), s.timed);
+        assert!(s.total_ns >= 1_000 && s.max_ns >= 1_000);
+        assert_eq!(p.stats("only_in_shard").unwrap().calls, 2);
+        // Absorbing an idle or disabled shard is a no-op.
+        p.absorb(&Profiler::enabled());
+        p.absorb(&Profiler::disabled());
+        assert_eq!(p.stats("v").unwrap().calls, 1 + jobs);
     }
 
     #[test]

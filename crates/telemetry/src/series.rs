@@ -13,6 +13,7 @@
 use scion_types::SimTime;
 use serde::Serialize;
 
+use crate::ids::MetricId;
 use crate::metrics::Label;
 
 /// One sample of one gauge at one virtual instant.
@@ -23,7 +24,7 @@ pub struct Sample {
     pub run: &'static str,
     /// Virtual time of the snapshot, in microseconds.
     pub t_us: u64,
-    /// Metric id (same namespace as the registry's gauges).
+    /// Metric name (the [`MetricId::name`] of the sampled gauge).
     pub id: &'static str,
     /// The AS / interface / link the sample is about.
     pub label: Label,
@@ -48,14 +49,14 @@ impl SeriesRecorder {
         &mut self,
         run: &'static str,
         now: SimTime,
-        id: &'static str,
+        id: MetricId,
         label: Label,
         value: f64,
     ) {
         self.samples.push(Sample {
             run,
             t_us: now.as_micros(),
-            id,
+            id: id.name(),
             label,
             value,
         });
@@ -77,14 +78,15 @@ impl SeriesRecorder {
     }
 
     /// The samples of one metric id, in time order (recording order).
-    pub fn of(&self, id: &str) -> Vec<&Sample> {
-        self.samples.iter().filter(|s| s.id == id).collect()
+    pub fn of(&self, id: MetricId) -> Vec<&Sample> {
+        self.samples.iter().filter(|s| s.id == id.name()).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids;
     use scion_types::Duration;
 
     #[test]
@@ -92,15 +94,16 @@ mod tests {
         let mut r = SeriesRecorder::new();
         let t0 = SimTime::ZERO;
         let t1 = SimTime::ZERO + Duration::from_secs(60);
-        r.record("a", t0, "depth", Label::Global, 1.0);
-        r.record("a", t1, "depth", Label::Global, 2.0);
-        r.record("a", t1, "occupancy", Label::As(3), 5.0);
+        r.record("a", t0, ids::ENGINE_QUEUE_DEPTH, Label::Global, 1.0);
+        r.record("a", t1, ids::ENGINE_QUEUE_DEPTH, Label::Global, 2.0);
+        r.record("a", t1, ids::STORE_OCCUPANCY, Label::As(3), 5.0);
         assert_eq!(r.len(), 3);
-        let depth = r.of("depth");
+        let depth = r.of(ids::ENGINE_QUEUE_DEPTH);
         assert_eq!(depth.len(), 2);
         assert_eq!(depth[0].t_us, 0);
         assert_eq!(depth[1].t_us, 60_000_000);
         assert_eq!(depth[1].value, 2.0);
-        assert_eq!(r.of("occupancy")[0].label, Label::As(3));
+        assert_eq!(depth[0].id, "engine.queue_depth");
+        assert_eq!(r.of(ids::STORE_OCCUPANCY)[0].label, Label::As(3));
     }
 }

@@ -232,8 +232,14 @@ pub struct TraceSink {
 }
 
 /// Default ring capacity: enough for every PCB event of a small-scale run;
-/// big runs wrap and keep the most recent window.
+/// big runs wrap and keep the most recent window. The ring grows on
+/// demand; completely full it holds 2^20 records of at most 80 bytes,
+/// 84 MB.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
+
+// A full ring's footprint is capacity x record size: a variant that widens
+// the record has to show up here, not as a silently heavier run.
+const _: () = assert!(std::mem::size_of::<TraceRecord>() <= 80);
 
 impl Default for TraceSink {
     fn default() -> Self {

@@ -33,6 +33,20 @@ fn dump_forwarding_run(tag: &str, threads: usize) -> PathBuf {
     );
     assert!(result.outcomes_identical, "arms disagree before export");
     assert!(tel_scalar.traces.emitted() > 0, "no trace records");
+    // Hop spans are sampled, but the reported counts are the operations
+    // run, so the arms agree however their shards sampled.
+    let [scalar, batched] = &result.arms[..] else {
+        panic!("expected a scalar and a batched arm");
+    };
+    for (name, s, b) in [
+        ("hop", &scalar.hop_latency, &batched.hop_latency),
+        ("verify", &scalar.verify_latency, &batched.verify_latency),
+    ] {
+        let (s, b) = (s.as_ref().unwrap().count, b.as_ref().unwrap().count);
+        assert_eq!(s, b, "{name}_latency.count differs between the arms");
+    }
+    let hops = scalar.hop_latency.as_ref().unwrap().count;
+    assert_eq!(hops, scalar.hop_ops, "hop_latency.count is not hop_ops");
 
     let root = std::env::temp_dir().join(format!(
         "scion-fwd-determinism-{tag}-t{threads}-{}",
