@@ -437,7 +437,7 @@ fn build_flows(
             continue;
         }
         // Match the daemon's cache order exactly: (hop count, link ends).
-        paths.sort_by_key(|p| (p.len(), p.links()));
+        paths.sort_by(EndToEndPath::preference);
         let path_links: Vec<Vec<LinkIndex>> =
             paths.iter().map(|p| path_link_indices(topo, p)).collect();
         let rtt_bound = path_links
@@ -1030,9 +1030,9 @@ impl<'a> Sim<'a> {
             .lookup_down(dst, now)
             .expect("recovery path server is core")
             .into_iter()
-            .filter(|seg| seg.hops_forward().first().map(|h| h.0) == Some(src))
+            .filter(|seg| seg.forward_hops().next().map(|h| h.0) == Some(src))
             .map(|seg| EndToEndPath {
-                hops: seg.hops_forward(),
+                hops: seg.forward_hops().collect(),
             })
             .collect()
     }
@@ -1383,9 +1383,8 @@ mod tests {
         for flow in &flows {
             for path in &flow.paths {
                 let seg = segment_for_path(path, &trust);
-                assert_eq!(
-                    seg.hops_forward(),
-                    path.hops,
+                assert!(
+                    seg.forward_hops().eq(path.hops.iter().copied()),
                     "segment round-trips the path"
                 );
             }

@@ -6,7 +6,7 @@
 //! immediately switch to an alternative path not containing the failed
 //! link" — which is why diverse path sets matter in the first place.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use scion_dataplane::scmp::ScmpMessage;
 use scion_proto::combine::{combine_paths, peering_path, shortcut_path, EndToEndPath};
@@ -41,12 +41,9 @@ pub struct ScionDaemon {
     pub scmp_processed: u64,
 }
 
-/// The links of a path as canonical [`LinkId`]s.
-fn path_links(path: &EndToEndPath) -> Vec<LinkId> {
-    path.links()
-        .into_iter()
-        .map(|(a, b): (LinkEnd, LinkEnd)| LinkId::new(a, b))
-        .collect()
+/// The links of a path as canonical [`LinkId`]s, read off its hops.
+fn path_links(path: &EndToEndPath) -> impl Iterator<Item = LinkId> + '_ {
+    path.links_iter().map(|(a, b)| LinkId::new(a, b))
 }
 
 impl ScionDaemon {
@@ -75,16 +72,12 @@ impl ScionDaemon {
     pub fn resolve(&mut self, dst: IsdAsn, segments: &SegmentSet, now: SimTime) -> usize {
         self.expire_failures_by_ttl(now);
         let mut found: Vec<EndToEndPath> = Vec::new();
-        let live = |s: &PathSegment| !s.is_expired(now);
+        let live = |s: &&PathSegment| !s.is_expired(now);
 
-        let ups: Vec<&PathSegment> = segments.up.iter().filter(|s| live(s)).collect();
-        let cores: Vec<&PathSegment> = segments.core.iter().filter(|s| live(s)).collect();
-        let downs: Vec<&PathSegment> = segments.down.iter().filter(|s| live(s)).collect();
-
-        for u in &ups {
+        for u in segments.up.iter().filter(live) {
             debug_assert_eq!(u.seg_type, SegmentType::Up);
-            // Same-core join (no core segment needed).
-            for d in &downs {
+            for d in segments.down.iter().filter(live) {
+                // Same-core join (no core segment needed).
                 if let Ok(p) = combine_paths(Some(u), None, Some(d)) {
                     found.push(p);
                 }
@@ -94,32 +87,27 @@ impl ScionDaemon {
                 if let Ok(p) = peering_path(u, d) {
                     found.push(p);
                 }
-                for c in &cores {
+                for c in segments.core.iter().filter(live) {
                     if let Ok(p) = combine_paths(Some(u), Some(c), Some(d)) {
                         found.push(p);
                     }
                 }
             }
         }
-        found.retain(|p| p.destination() == dst);
-        found.sort_by_key(|p| (p.len(), p.links()));
-        found.dedup_by_key(|p| p.links());
-        let n = found.len();
-        self.cache.insert(dst, found);
-        n
+        self.install_paths(dst, found)
     }
 
     /// Installs pre-combined paths toward `dst` directly (the recovery
     /// driver hands daemons their multipath set this way). Paths are
-    /// cached shortest-first and deduplicated by link sequence, exactly
-    /// like [`ScionDaemon::resolve`] output. Returns the cached count.
-    pub fn install_paths(&mut self, dst: IsdAsn, paths: Vec<EndToEndPath>) -> usize {
-        let mut found = paths;
-        found.retain(|p| p.destination() == dst);
-        found.sort_by_key(|p| (p.len(), p.links()));
-        found.dedup_by_key(|p| p.links());
-        let n = found.len();
-        self.cache.insert(dst, found);
+    /// cached in [`EndToEndPath::preference`] order — shortest first — one
+    /// per link sequence, exactly like [`ScionDaemon::resolve`] output.
+    /// Returns the cached count.
+    pub fn install_paths(&mut self, dst: IsdAsn, mut paths: Vec<EndToEndPath>) -> usize {
+        paths.retain(|p| p.destination() == dst);
+        paths.sort_by(EndToEndPath::preference);
+        paths.dedup_by(|a, b| a.links_iter().eq(b.links_iter()));
+        let n = paths.len();
+        self.cache.insert(dst, paths);
         n
     }
 
@@ -133,12 +121,11 @@ impl ScionDaemon {
 
     /// The best usable (non-failed) path toward `dst`, if any.
     pub fn best_path(&mut self, dst: IsdAsn) -> Option<EndToEndPath> {
-        let failed: HashSet<LinkId> = self.failed_links.keys().copied().collect();
         let path = self
             .cache
             .get(&dst)?
             .iter()
-            .find(|p| path_links(p).iter().all(|l| !failed.contains(l)))
+            .find(|p| path_links(p).all(|l| !self.failed_links.contains_key(&l)))
             .cloned();
         if path.is_some() {
             self.paths_served += 1;
@@ -161,18 +148,12 @@ impl ScionDaemon {
             // The failed link is identified by its near end; we mark every
             // cached link with that end.
             let near = LinkEnd::new(*at, *interface);
-            let mut hit = Vec::new();
-            for paths in self.cache.values() {
-                for p in paths {
-                    for l in path_links(p) {
-                        if l.lo() == near || l.hi() == near {
-                            hit.push(l);
-                        }
+            for path in self.cache.values().flatten() {
+                for l in path_links(path) {
+                    if l.lo() == near || l.hi() == near {
+                        self.failed_links.insert(l, now);
                     }
                 }
-            }
-            for l in hit {
-                self.failed_links.insert(l, now);
             }
         }
     }
@@ -427,6 +408,90 @@ mod tests {
             d.best_path(ia(2, 5)).unwrap().links(),
             source.best_path(ia(2, 5)).unwrap().links()
         );
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One drawn segment: core AS pick, transit AS pick (none, 1-3 or
+        /// 1-4), and the three interface ids it uses — few values, so that
+        /// different segment pairs often give the same link sequence.
+        type Drawn = (u64, u64, u16, u16, u16);
+
+        fn drawn(max: usize) -> impl Strategy<Value = Vec<Drawn>> {
+            proptest::collection::vec((1u64..3, 2u64..5, 1u16..3, 1u16..3, 1u16..3), 0..max)
+        }
+
+        /// Core → optional transit → `leaf`, all in ISD 1.
+        fn leaf_segment(tr: &TrustStore, ty: SegmentType, leaf: u64, d: Drawn) -> PathSegment {
+            let (core, transit, a, b, c) = d;
+            let mut hops = vec![(ia(1, core), 0, a)];
+            if transit > 2 {
+                hops.push((ia(1, transit), b, c));
+            }
+            hops.push((ia(1, leaf), a, 0));
+            seg(tr, ty, &hops, 6)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+            /// The cache `resolve` builds is the candidates in the order the
+            /// daemon always kept them — `(len, links)` sorted stably, one
+            /// per link sequence, both computed here from copied link
+            /// lists — and `install_paths` builds the same from any order.
+            #[test]
+            fn prop_cache_is_the_copying_sort_of_the_candidates(
+                ups in drawn(6),
+                cores in drawn(4),
+                downs in drawn(6),
+                rotate in 0usize..16,
+            ) {
+                let tr = trust();
+                let dst = ia(1, 6);
+                let set = SegmentSet {
+                    up: ups.iter().map(|&d| leaf_segment(&tr, SegmentType::Up, 5, d)).collect(),
+                    core: cores
+                        .iter()
+                        .map(|&(from, _, a, b, _)| {
+                            seg(&tr, SegmentType::Core, &[(ia(1, from), 0, a), (ia(1, 3 - from), b, 0)], 6)
+                        })
+                        .collect(),
+                    down: downs.iter().map(|&d| leaf_segment(&tr, SegmentType::Down, 6, d)).collect(),
+                };
+
+                let mut candidates = Vec::new();
+                for u in &set.up {
+                    for d in &set.down {
+                        candidates.extend(combine_paths(Some(u), None, Some(d)));
+                        candidates.extend(shortcut_path(u, d));
+                        candidates.extend(peering_path(u, d));
+                        for c in &set.core {
+                            candidates.extend(combine_paths(Some(u), Some(c), Some(d)));
+                        }
+                    }
+                }
+                let mut expected = candidates.clone();
+                expected.sort_by_key(|p| (p.len(), p.links()));
+                expected.dedup_by_key(|p| p.links());
+
+                let mut daemon = ScionDaemon::new();
+                prop_assert_eq!(daemon.resolve(dst, &set, SimTime::ZERO), expected.len());
+                prop_assert_eq!(daemon.cached_paths(dst), &expected[..]);
+
+                // Equal paths are interchangeable, so the order they are
+                // handed over in must not show.
+                if !candidates.is_empty() {
+                    let by = rotate % candidates.len();
+                    candidates.rotate_left(by);
+                }
+                candidates.reverse();
+                let mut installed = ScionDaemon::new();
+                prop_assert_eq!(installed.install_paths(dst, candidates), expected.len());
+                prop_assert_eq!(installed.cached_paths(dst), &expected[..]);
+            }
+        }
     }
 
     #[test]

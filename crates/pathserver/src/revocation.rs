@@ -26,9 +26,7 @@ pub struct Revocation {
 
 /// True if `seg` traverses `failed`.
 pub fn segment_uses_link(seg: &PathSegment, failed: LinkId) -> bool {
-    seg.links()
-        .iter()
-        .any(|&(a, b)| LinkId::new(a, b) == failed)
+    seg.links_iter().any(|(a, b)| LinkId::new(a, b) == failed)
 }
 
 /// Performs the two reactions to a failed link:

@@ -10,7 +10,7 @@
 //! cache path segments to serve subsequent requests for a given origin AS,
 //! which is effective in SCION due to the long lifetime of a path".
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use scion_proto::segment::{PathSegment, SegmentType};
 use scion_telemetry::{ids, Label, Telemetry, TraceEvent};
@@ -109,9 +109,12 @@ pub struct PathServer {
     ia: IsdAsn,
     core: bool,
     /// Authoritative down-segments per destination leaf AS (core servers).
-    down_segments: HashMap<IsdAsn, Vec<PathSegment>>,
+    /// Both authoritative stores are keyed in address order: what a lookup
+    /// answers and what a revocation removes comes out in the same order
+    /// in every process, whatever order the registrations arrived in.
+    down_segments: BTreeMap<IsdAsn, Vec<PathSegment>>,
     /// Authoritative core-segments per remote core AS (core servers).
-    core_segments: HashMap<IsdAsn, Vec<PathSegment>>,
+    core_segments: BTreeMap<IsdAsn, Vec<PathSegment>>,
     /// Up-segments of the local AS (local servers).
     up_segments: Vec<PathSegment>,
     /// Response cache: destination → (segments, inserted-at). Entries are
@@ -141,8 +144,8 @@ impl PathServer {
         PathServer {
             ia,
             core,
-            down_segments: HashMap::new(),
-            core_segments: HashMap::new(),
+            down_segments: BTreeMap::new(),
+            core_segments: BTreeMap::new(),
             up_segments: Vec::new(),
             cache: HashMap::new(),
             negative: HashMap::new(),
@@ -330,15 +333,10 @@ impl PathServer {
     ) -> Vec<PathSegment> {
         let mut removed = Vec::new();
         for store in [&mut self.down_segments, &mut self.core_segments] {
-            // Visit destinations in address order: callers (the revocation
-            // table, trace emission) depend on a deterministic removal
-            // order, which the hash map's own iteration can't provide.
-            let mut keys: Vec<IsdAsn> = store.keys().copied().collect();
-            keys.sort_unstable();
-            for key in keys {
-                let Some(segs) = store.get_mut(&key) else {
-                    continue;
-                };
+            // Destinations are visited in address order: callers (the
+            // revocation table, trace emission) depend on a deterministic
+            // removal order.
+            for segs in store.values_mut() {
                 let mut kept = Vec::with_capacity(segs.len());
                 for seg in segs.drain(..) {
                     if pred(&seg) {
@@ -377,8 +375,10 @@ impl PathServer {
     }
 
     /// Authoritative core-segment lookup at a core server: segments whose
-    /// far end lies in `dst_isd` (or at the exact AS when known). Rejects
-    /// the query with a typed [`ServerError`] on a non-core server.
+    /// far end lies in `dst_isd` (or at the exact AS when known), in the
+    /// address order of their far ends and registration order under one
+    /// far end. Rejects the query with a typed [`ServerError`] on a
+    /// non-core server.
     pub fn lookup_core(&self, dst_isd: Isd, now: SimTime) -> Result<Vec<PathSegment>, ServerError> {
         if !self.core {
             return Err(ServerError::NotCore { op: "lookup_core" });
@@ -637,6 +637,30 @@ mod tests {
         assert_eq!(ps.lookup_core(Isd(2), SimTime::ZERO).unwrap().len(), 1);
         assert!(ps.lookup_core(Isd(3), SimTime::ZERO).unwrap().is_empty());
         assert_eq!(ps.down_destinations(), 1);
+    }
+
+    #[test]
+    fn core_lookup_order_does_not_depend_on_registration_order() {
+        let tr = trust();
+        // Far ends 2-1 … 2-5 (and one in ISD 1 that the lookup leaves out),
+        // registered front to back at one server and back to front at the
+        // other. Enough keys that two hash maps would disagree.
+        let segs: Vec<PathSegment> = (1..=5)
+            .map(|asn| seg(&tr, SegmentType::Core, ia(1, 1), ia(2, asn), 6))
+            .chain([seg(&tr, SegmentType::Core, ia(1, 1), ia(1, 2), 6)])
+            .collect();
+        let mut a = PathServer::new(ia(1, 1), true);
+        let mut b = PathServer::new(ia(1, 1), true);
+        for s in &segs {
+            a.register_core_segment(s.clone(), SimTime::ZERO).unwrap();
+        }
+        for s in segs.iter().rev() {
+            b.register_core_segment(s.clone(), SimTime::ZERO).unwrap();
+        }
+        let answer = a.lookup_core(Isd(2), SimTime::ZERO).unwrap();
+        assert_eq!(answer, b.lookup_core(Isd(2), SimTime::ZERO).unwrap());
+        let far_ends: Vec<IsdAsn> = answer.iter().map(|s| s.terminal()).collect();
+        assert_eq!(far_ends, (1..=5).map(|asn| ia(2, asn)).collect::<Vec<_>>());
     }
 
     #[test]

@@ -11,12 +11,18 @@
 //! [`shortcut_path`] the common-AS crossover; [`peering_path`] the
 //! peering-link crossover. All return an [`EndToEndPath`]: the hop sequence
 //! in travel direction with fully-resolved interfaces.
+//!
+//! A daemon tries every pairing of its segments and most attempts end at a
+//! junction that does not fit, so the combiners decide everything — roles,
+//! orientation, junctions, loop freedom, interfaces — on the segments' own
+//! entries, borrowed, and allocate once, for a path they return.
 
 use serde::{Deserialize, Serialize};
 
-use scion_types::{IsdAsn, LinkEnd};
+use scion_types::{IfId, IsdAsn, LinkEnd};
 
-use crate::segment::{PathSegment, SegmentType, TraversalHop};
+use crate::pcb::AsEntry;
+use crate::segment::{forward_hop, reversed_hop, PathSegment, SegmentType, TraversalHop};
 
 /// Why a combination attempt failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,6 +58,22 @@ pub struct EndToEndPath {
     pub hops: Vec<TraversalHop>,
 }
 
+/// Which interface the `i`-th of `len` hops lacks, if any: every hop but
+/// the first needs an ingress, every hop but the last an egress.
+fn missing_interface(
+    i: usize,
+    len: usize,
+    (_, ingress, egress): TraversalHop,
+) -> Option<&'static str> {
+    if i > 0 && ingress.is_none() {
+        Some("ingress")
+    } else if i + 1 < len && egress.is_none() {
+        Some("egress")
+    } else {
+        None
+    }
+}
+
 impl EndToEndPath {
     /// AS-level path, source first.
     pub fn as_path(&self) -> Vec<IsdAsn> {
@@ -70,10 +92,25 @@ impl EndToEndPath {
 
     /// The inter-domain links traversed, as `(near, far)` interface pairs.
     pub fn links(&self) -> Vec<(LinkEnd, LinkEnd)> {
+        self.links_iter().collect()
+    }
+
+    /// [`EndToEndPath::links`] without the `Vec`: the pairs are read off
+    /// the hops as the iterator advances, so paths can be compared, ordered
+    /// and probed for a link without copying anything.
+    pub fn links_iter(&self) -> impl Iterator<Item = (LinkEnd, LinkEnd)> + Clone + '_ {
         self.hops
             .windows(2)
             .map(|w| (LinkEnd::new(w[0].0, w[0].2), LinkEnd::new(w[1].0, w[1].1)))
-            .collect()
+    }
+
+    /// The order daemons keep their paths in: fewest hops first, equally
+    /// long paths by their link sequence. Two paths compare equal exactly
+    /// when they cross the same links.
+    pub fn preference(&self, other: &EndToEndPath) -> std::cmp::Ordering {
+        self.len()
+            .cmp(&other.len())
+            .then_with(|| self.links_iter().cmp(other.links_iter()))
     }
 
     /// Number of AS hops.
@@ -89,57 +126,174 @@ impl EndToEndPath {
     /// Structural sanity: no repeated AS (SCION forbids loops) and interior
     /// interfaces present.
     pub fn check(&self) -> Result<(), String> {
-        let mut seen = Vec::new();
-        for &(ia, _, _) in &self.hops {
-            if seen.contains(&ia) {
+        for (i, &(ia, _, _)) in self.hops.iter().enumerate() {
+            if self.hops[..i].iter().any(|&(seen, _, _)| seen == ia) {
                 return Err(format!("AS {ia} repeats on path"));
             }
-            seen.push(ia);
         }
-        for (i, &(ia, ingress, egress)) in self.hops.iter().enumerate() {
-            if i > 0 && ingress.is_none() {
-                return Err(format!("hop {ia} missing ingress"));
-            }
-            if i + 1 < self.hops.len() && egress.is_none() {
-                return Err(format!("hop {ia} missing egress"));
+        for (i, &hop) in self.hops.iter().enumerate() {
+            if let Some(side) = missing_interface(i, self.hops.len(), hop) {
+                return Err(format!("hop {} missing {side}", hop.0));
             }
         }
         Ok(())
     }
 }
 
-/// Glues two traversals that meet at the same AS: the junction AS appears
-/// as the last hop of `a` (with egress NONE) and the first hop of `b`
-/// (with ingress NONE); the merged junction hop uses `a`'s ingress and
-/// `b`'s egress.
-fn join(a: Vec<TraversalHop>, b: Vec<TraversalHop>) -> Result<Vec<TraversalHop>, CombineError> {
-    let (&(ja, ja_in, _), &(jb, _, jb_out)) = match (a.last(), b.first()) {
-        (Some(x), Some(y)) => (x, y),
-        _ => return Err(CombineError::Disconnected),
-    };
-    if ja != jb {
-        return Err(CombineError::Disconnected);
-    }
-    let mut out = a;
-    out.pop();
-    out.push((ja, ja_in, jb_out));
-    out.extend(b.into_iter().skip(1));
-    Ok(out)
+/// A stretch of one segment as a path travels it: a window of the
+/// segment's AS entries, in beaconing direction or against it.
+#[derive(Clone, Copy)]
+struct Run<'a> {
+    entries: &'a [AsEntry],
+    reversed: bool,
 }
 
-/// Orients a core segment so the traversal starts at `from`: forward if the
-/// segment originates there, reversed if it terminates there.
-fn orient_core(core: &PathSegment, from: IsdAsn) -> Result<Vec<TraversalHop>, CombineError> {
-    if core.seg_type != SegmentType::Core {
-        return Err(CombineError::WrongSegmentType);
+impl<'a> Run<'a> {
+    fn forward(entries: &'a [AsEntry]) -> Run<'a> {
+        Run {
+            entries,
+            reversed: false,
+        }
     }
-    if core.origin() == from {
-        Ok(core.hops_forward())
-    } else if core.terminal() == from {
-        Ok(core.hops_reversed())
-    } else {
-        Err(CombineError::Disconnected)
+
+    fn reversed(entries: &'a [AsEntry]) -> Run<'a> {
+        Run {
+            entries,
+            reversed: true,
+        }
     }
+
+    /// The AS the run starts at.
+    fn first_as(&self) -> Option<IsdAsn> {
+        let first = if self.reversed {
+            self.entries.last()
+        } else {
+            self.entries.first()
+        };
+        first.map(|e| e.ia)
+    }
+
+    /// The AS the run ends at.
+    fn last_as(&self) -> Option<IsdAsn> {
+        let last = if self.reversed {
+            self.entries.first()
+        } else {
+            self.entries.last()
+        };
+        last.map(|e| e.ia)
+    }
+
+    /// The entries minus the one travelled first.
+    fn after_first(&self) -> &'a [AsEntry] {
+        match (self.entries, self.reversed) {
+            ([rest @ .., _], true) | ([_, rest @ ..], false) => rest,
+            ([], _) => &[],
+        }
+    }
+
+    fn for_each_hop(&self, mut f: impl FnMut(TraversalHop)) {
+        if self.reversed {
+            self.entries.iter().rev().map(reversed_hop).for_each(&mut f);
+        } else {
+            self.entries.iter().map(forward_hop).for_each(&mut f);
+        }
+    }
+}
+
+/// No path has more runs than segments: up, core, down.
+const MAX_RUNS: usize = 3;
+
+/// How two consecutive runs of a path meet.
+#[derive(Clone, Copy)]
+enum Seam {
+    /// At an AS both runs contain — the last hop of the one and the first
+    /// of the other are one hop, entered as the first run enters the AS and
+    /// left as the second leaves it.
+    Junction,
+    /// Over a peering link: the first run's last hop leaves by `egress`,
+    /// the second run's first hop is entered by `ingress`.
+    Peering { egress: IfId, ingress: IfId },
+}
+
+/// The seam a path crosses to enter its `k`-th run.
+fn seam_before(seams: &[Seam], k: usize) -> Option<Seam> {
+    k.checked_sub(1).map(|before| seams[before])
+}
+
+/// True when `next` starts at the AS `prev` ends at.
+fn meet(prev: &Run<'_>, next: &Run<'_>) -> bool {
+    matches!((prev.last_as(), next.first_as()), (Some(a), Some(b)) if a == b)
+}
+
+/// Calls `emit` with every hop of the path that `runs`, glued by `seams`
+/// (one between each two runs), describe.
+fn walk(runs: &[Run<'_>], seams: &[Seam], mut emit: impl FnMut(TraversalHop)) {
+    // The hop last read, held back because a seam may still change it.
+    let mut held: Option<TraversalHop> = None;
+    for (k, run) in runs.iter().enumerate() {
+        let mut seam = seam_before(seams, k);
+        run.for_each_hop(|hop| {
+            // The seam bears on the run's first hop only.
+            held = Some(match (held, seam.take()) {
+                (Some(prev), Some(Seam::Junction)) => (prev.0, prev.1, hop.2),
+                (Some(prev), Some(Seam::Peering { egress, ingress })) => {
+                    emit((prev.0, prev.1, egress));
+                    (hop.0, ingress, hop.2)
+                }
+                (Some(prev), None) => {
+                    emit(prev);
+                    hop
+                }
+                (None, _) => hop,
+            });
+        });
+    }
+    if let Some(last) = held {
+        emit(last);
+    }
+}
+
+/// Builds the path `runs` and `seams` describe if it is well-formed — what
+/// [`EndToEndPath::check`] accepts: no AS twice, interior interfaces
+/// present. Both are decided on the borrowed entries; only a path that
+/// passes is allocated, at its exact size, and written once.
+fn assemble(runs: &[Run<'_>], seams: &[Seam]) -> Option<EndToEndPath> {
+    debug_assert_eq!(seams.len() + 1, runs.len());
+    // A junction AS is in both its runs and once on the path: leave it out
+    // of the later run.
+    let mut parts: [&[AsEntry]; MAX_RUNS] = [&[]; MAX_RUNS];
+    for (k, run) in runs.iter().enumerate() {
+        parts[k] = match seam_before(seams, k) {
+            Some(Seam::Junction) => run.after_first(),
+            _ => run.entries,
+        };
+    }
+    let parts = &parts[..runs.len()];
+    let repeats = |e: &AsEntry, earlier: &[AsEntry]| earlier.iter().any(|seen| seen.ia == e.ia);
+    for (k, part) in parts.iter().enumerate() {
+        for (i, e) in part.iter().enumerate() {
+            if repeats(e, &part[..i]) || parts[..k].iter().any(|before| repeats(e, before)) {
+                return None;
+            }
+        }
+    }
+    let len = parts.iter().map(|part| part.len()).sum();
+
+    let (mut i, mut complete) = (0, true);
+    walk(runs, seams, |hop| {
+        complete &= missing_interface(i, len, hop).is_none();
+        i += 1;
+    });
+    if !complete {
+        return None;
+    }
+
+    let mut hops = Vec::with_capacity(len);
+    walk(runs, seams, |hop| hops.push(hop));
+    debug_assert_eq!(hops.len(), len);
+    let path = EndToEndPath { hops };
+    debug_assert_eq!(path.check(), Ok(()));
+    Some(path)
 }
 
 /// Combines up to three segments into an end-to-end path.
@@ -149,6 +303,8 @@ fn orient_core(core: &PathSegment, from: IsdAsn) -> Result<Vec<TraversalHop>, Co
 ///   `None` if the source is itself a core AS.
 /// * `core` — core segment connecting the two ISD cores; `None` for
 ///   intra-ISD paths whose up and down segments meet at the same core AS.
+///   Travelled forward if it originates where the path stands, reversed if
+///   it terminates there.
 /// * `down` — segment whose terminal is the destination leaf; `None` if
 ///   the destination is a core AS.
 ///
@@ -158,43 +314,58 @@ pub fn combine_paths(
     core: Option<&PathSegment>,
     down: Option<&PathSegment>,
 ) -> Result<EndToEndPath, CombineError> {
-    let mut acc: Option<Vec<TraversalHop>> = None;
+    let mut runs = [Run::forward(&[]); MAX_RUNS];
+    let mut n = 0;
 
     if let Some(u) = up {
         if u.seg_type == SegmentType::Core {
             return Err(CombineError::WrongSegmentType);
         }
-        acc = Some(u.hops_reversed());
+        runs[n] = Run::reversed(&u.pcb().entries);
+        n += 1;
     }
     if let Some(c) = core {
-        let hops = match &acc {
-            Some(a) => orient_core(c, a.last().expect("non-empty").0)?,
-            None => {
-                if c.seg_type != SegmentType::Core {
-                    return Err(CombineError::WrongSegmentType);
+        if c.seg_type != SegmentType::Core {
+            return Err(CombineError::WrongSegmentType);
+        }
+        let entries = &c.pcb().entries;
+        let run = match runs[..n].last() {
+            None => Run::forward(entries),
+            Some(prev) => {
+                let from = prev.last_as().ok_or(CombineError::Disconnected)?;
+                let run = if c.origin() == from {
+                    Run::forward(entries)
+                } else if entries.last().is_some_and(|terminal| terminal.ia == from) {
+                    Run::reversed(entries)
+                } else {
+                    return Err(CombineError::Disconnected);
+                };
+                // `origin()` is the beacon's header; the junction is judged
+                // on the entries, like every other.
+                if !meet(prev, &run) {
+                    return Err(CombineError::Disconnected);
                 }
-                c.hops_forward()
+                run
             }
         };
-        acc = Some(match acc {
-            Some(a) => join(a, hops)?,
-            None => hops,
-        });
+        runs[n] = run;
+        n += 1;
     }
     if let Some(d) = down {
         if d.seg_type == SegmentType::Core {
             return Err(CombineError::WrongSegmentType);
         }
-        let hops = d.hops_forward();
-        acc = Some(match acc {
-            Some(a) => join(a, hops)?,
-            None => hops,
-        });
+        let run = Run::forward(&d.pcb().entries);
+        if runs[..n].last().is_some_and(|prev| !meet(prev, &run)) {
+            return Err(CombineError::Disconnected);
+        }
+        runs[n] = run;
+        n += 1;
     }
-    let hops = acc.ok_or(CombineError::Disconnected)?;
-    let path = EndToEndPath { hops };
-    path.check().map_err(|_| CombineError::Disconnected)?;
-    Ok(path)
+    if n == 0 {
+        return Err(CombineError::Disconnected);
+    }
+    assemble(&runs[..n], &[Seam::Junction; MAX_RUNS - 1][..n - 1]).ok_or(CombineError::Disconnected)
 }
 
 /// Builds a shortcut path: up and down segments crossing over at a common
@@ -206,32 +377,26 @@ pub fn shortcut_path(up: &PathSegment, down: &PathSegment) -> Result<EndToEndPat
     if up.seg_type == SegmentType::Core || down.seg_type == SegmentType::Core {
         return Err(CombineError::WrongSegmentType);
     }
-    let up_hops = up.hops_reversed(); // source leaf first, core last
-    let down_hops = down.hops_forward(); // core first, dest leaf last
+    let ups = &up.pcb().entries;
+    let downs = &down.pcb().entries;
 
-    // Earliest position in the up traversal that also appears in the down
-    // traversal — excluding the core origin itself (that case is a normal
-    // combine, not a shortcut).
-    let mut best: Option<(usize, usize)> = None;
-    for (i, &(ia, _, _)) in up_hops.iter().enumerate().take(up_hops.len() - 1) {
-        if let Some(j) = down_hops
-            .iter()
-            .skip(1)
-            .position(|&(d, _, _)| d == ia)
-            .map(|p| p + 1)
-        {
-            best = Some((i, j));
-            break; // up traversal order = closest to source leaf
-        }
-    }
-    let (i, j) = best.ok_or(CombineError::NoCommonAs)?;
-    let mut hops: Vec<TraversalHop> = up_hops[..=i].to_vec();
-    let cross = hops.last_mut().expect("non-empty");
-    cross.2 = down_hops[j].2; // leave crossover via the down segment's egress
-    hops.extend_from_slice(&down_hops[j + 1..]);
-    let path = EndToEndPath { hops };
-    path.check().map_err(|_| CombineError::NoCommonAs)?;
-    Ok(path)
+    // The first AS of the up traversal — source leaf first, so the up
+    // entries from the back — that also lies on the down segment. The core
+    // origins themselves are left out on both sides: meeting there is a
+    // normal combine, not a shortcut.
+    let (u, d) = (1..ups.len())
+        .rev()
+        .find_map(|u| {
+            let at = (1..downs.len()).find(|&d| downs[d].ia == ups[u].ia)?;
+            Some((u, at))
+        })
+        .ok_or(CombineError::NoCommonAs)?;
+    // Up to the crossover, then leave it the way the down segment does.
+    assemble(
+        &[Run::reversed(&ups[u..]), Run::forward(&downs[d..])],
+        &[Seam::Junction],
+    )
+    .ok_or(CombineError::NoCommonAs)
 }
 
 /// Builds a peering-shortcut path: an AS `u` on the up segment and an AS
@@ -242,45 +407,34 @@ pub fn peering_path(up: &PathSegment, down: &PathSegment) -> Result<EndToEndPath
     if up.seg_type == SegmentType::Core || down.seg_type == SegmentType::Core {
         return Err(CombineError::WrongSegmentType);
     }
-    let up_hops = up.hops_reversed();
-    let down_hops = down.hops_forward();
+    let ups = &up.pcb().entries;
+    let downs = &down.pcb().entries;
 
     // Search for the first matching peering pair (closest to the source).
-    for (i, &(u_ia, _, _)) in up_hops.iter().enumerate() {
-        let u_entry = up
-            .pcb()
-            .entries
-            .iter()
-            .find(|e| e.ia == u_ia)
-            .expect("hop exists in segment");
+    for (u, u_entry) in ups.iter().enumerate().rev() {
         for upe in &u_entry.peers {
-            for (j, &(d_ia, _, _)) in down_hops.iter().enumerate() {
-                if upe.peer != d_ia {
+            for (d, d_entry) in downs.iter().enumerate() {
+                if upe.peer != d_entry.ia {
                     continue;
                 }
-                let d_entry = down
-                    .pcb()
-                    .entries
-                    .iter()
-                    .find(|e| e.ia == d_ia)
-                    .expect("hop exists in segment");
                 // Require the *same physical link* advertised on both
                 // sides: local/remote interface ids must cross-match.
                 let matched = d_entry.peers.iter().any(|dpe| {
-                    dpe.peer == u_ia
+                    dpe.peer == u_entry.ia
                         && dpe.peer_if == upe.hop.ingress
                         && upe.peer_if == dpe.hop.ingress
                 });
                 if !matched {
                     continue;
                 }
-                let mut hops: Vec<TraversalHop> = up_hops[..=i].to_vec();
-                hops.last_mut().expect("non-empty").2 = upe.hop.ingress;
-                let mut down_tail = down_hops[j..].to_vec();
-                down_tail[0].1 = upe.peer_if;
-                hops.extend(down_tail);
-                let path = EndToEndPath { hops };
-                if path.check().is_ok() {
+                let crossing = Seam::Peering {
+                    egress: upe.hop.ingress,
+                    ingress: upe.peer_if,
+                };
+                if let Some(path) = assemble(
+                    &[Run::reversed(&ups[u..]), Run::forward(&downs[d..])],
+                    &[crossing],
+                ) {
                     return Ok(path);
                 }
             }
@@ -329,6 +483,343 @@ mod tests {
             pcb = pcb.extend(h, IfId(ing), IfId(eg), vec![], trust);
         }
         PathSegment::from_terminated_pcb(seg_type, pcb)
+    }
+
+    /// The combiners as they were before they borrowed: every attempt
+    /// copies both hop lists, glues the copies and checks the result. Kept
+    /// as what the borrowing ones are compared against.
+    mod reference {
+        use super::super::{CombineError, EndToEndPath};
+        use crate::segment::{PathSegment, SegmentType, TraversalHop};
+        use scion_types::IsdAsn;
+
+        /// Glues two traversals that meet at the same AS: the junction AS appears
+        /// as the last hop of `a` (with egress NONE) and the first hop of `b`
+        /// (with ingress NONE); the merged junction hop uses `a`'s ingress and
+        /// `b`'s egress.
+        fn join(
+            a: Vec<TraversalHop>,
+            b: Vec<TraversalHop>,
+        ) -> Result<Vec<TraversalHop>, CombineError> {
+            let (&(ja, ja_in, _), &(jb, _, jb_out)) = match (a.last(), b.first()) {
+                (Some(x), Some(y)) => (x, y),
+                _ => return Err(CombineError::Disconnected),
+            };
+            if ja != jb {
+                return Err(CombineError::Disconnected);
+            }
+            let mut out = a;
+            out.pop();
+            out.push((ja, ja_in, jb_out));
+            out.extend(b.into_iter().skip(1));
+            Ok(out)
+        }
+
+        /// Orients a core segment so the traversal starts at `from`: forward if the
+        /// segment originates there, reversed if it terminates there.
+        fn orient_core(
+            core: &PathSegment,
+            from: IsdAsn,
+        ) -> Result<Vec<TraversalHop>, CombineError> {
+            if core.seg_type != SegmentType::Core {
+                return Err(CombineError::WrongSegmentType);
+            }
+            if core.origin() == from {
+                Ok(core.forward_hops().collect())
+            } else if core.terminal() == from {
+                Ok(core.reversed_hops().collect())
+            } else {
+                Err(CombineError::Disconnected)
+            }
+        }
+
+        /// Combines up to three segments into an end-to-end path.
+        ///
+        /// * `up` — segment whose *terminal* is the source leaf AS (an up/down
+        ///   segment stored in beaconing direction; traversed in reverse).
+        ///   `None` if the source is itself a core AS.
+        /// * `core` — core segment connecting the two ISD cores; `None` for
+        ///   intra-ISD paths whose up and down segments meet at the same core AS.
+        /// * `down` — segment whose terminal is the destination leaf; `None` if
+        ///   the destination is a core AS.
+        ///
+        /// At least one segment must be given; junction ASes must match.
+        pub fn combine_paths(
+            up: Option<&PathSegment>,
+            core: Option<&PathSegment>,
+            down: Option<&PathSegment>,
+        ) -> Result<EndToEndPath, CombineError> {
+            let mut acc: Option<Vec<TraversalHop>> = None;
+
+            if let Some(u) = up {
+                if u.seg_type == SegmentType::Core {
+                    return Err(CombineError::WrongSegmentType);
+                }
+                acc = Some(u.reversed_hops().collect());
+            }
+            if let Some(c) = core {
+                let hops = match &acc {
+                    Some(a) => orient_core(c, a.last().expect("non-empty").0)?,
+                    None => {
+                        if c.seg_type != SegmentType::Core {
+                            return Err(CombineError::WrongSegmentType);
+                        }
+                        c.forward_hops().collect()
+                    }
+                };
+                acc = Some(match acc {
+                    Some(a) => join(a, hops)?,
+                    None => hops,
+                });
+            }
+            if let Some(d) = down {
+                if d.seg_type == SegmentType::Core {
+                    return Err(CombineError::WrongSegmentType);
+                }
+                let hops = d.forward_hops().collect::<Vec<_>>();
+                acc = Some(match acc {
+                    Some(a) => join(a, hops)?,
+                    None => hops,
+                });
+            }
+            let hops = acc.ok_or(CombineError::Disconnected)?;
+            let path = EndToEndPath { hops };
+            path.check().map_err(|_| CombineError::Disconnected)?;
+            Ok(path)
+        }
+
+        /// Builds a shortcut path: up and down segments crossing over at a common
+        /// non-core AS, avoiding the core entirely (§2.3).
+        ///
+        /// Picks the crossover closest to the leaves (the latest common AS in the
+        /// up traversal), which yields the shortest shortcut.
+        pub fn shortcut_path(
+            up: &PathSegment,
+            down: &PathSegment,
+        ) -> Result<EndToEndPath, CombineError> {
+            if up.seg_type == SegmentType::Core || down.seg_type == SegmentType::Core {
+                return Err(CombineError::WrongSegmentType);
+            }
+            let up_hops: Vec<TraversalHop> = up.reversed_hops().collect(); // source leaf first, core last
+            let down_hops: Vec<TraversalHop> = down.forward_hops().collect(); // core first, dest leaf last
+
+            // Earliest position in the up traversal that also appears in the down
+            // traversal — excluding the core origin itself (that case is a normal
+            // combine, not a shortcut).
+            let mut best: Option<(usize, usize)> = None;
+            for (i, &(ia, _, _)) in up_hops.iter().enumerate().take(up_hops.len() - 1) {
+                if let Some(j) = down_hops
+                    .iter()
+                    .skip(1)
+                    .position(|&(d, _, _)| d == ia)
+                    .map(|p| p + 1)
+                {
+                    best = Some((i, j));
+                    break; // up traversal order = closest to source leaf
+                }
+            }
+            let (i, j) = best.ok_or(CombineError::NoCommonAs)?;
+            let mut hops: Vec<TraversalHop> = up_hops[..=i].to_vec();
+            let cross = hops.last_mut().expect("non-empty");
+            cross.2 = down_hops[j].2; // leave crossover via the down segment's egress
+            hops.extend_from_slice(&down_hops[j + 1..]);
+            let path = EndToEndPath { hops };
+            path.check().map_err(|_| CombineError::NoCommonAs)?;
+            Ok(path)
+        }
+
+        /// Builds a peering-shortcut path: an AS `u` on the up segment and an AS
+        /// `d` on the down segment connected by a peering link that **both**
+        /// segments advertise (§2.3). The path ascends to `u`, crosses the peering
+        /// link, and descends from `d`.
+        pub fn peering_path(
+            up: &PathSegment,
+            down: &PathSegment,
+        ) -> Result<EndToEndPath, CombineError> {
+            if up.seg_type == SegmentType::Core || down.seg_type == SegmentType::Core {
+                return Err(CombineError::WrongSegmentType);
+            }
+            let up_hops: Vec<TraversalHop> = up.reversed_hops().collect();
+            let down_hops: Vec<TraversalHop> = down.forward_hops().collect();
+
+            // Search for the first matching peering pair (closest to the source).
+            for (i, &(u_ia, _, _)) in up_hops.iter().enumerate() {
+                let u_entry = up
+                    .pcb()
+                    .entries
+                    .iter()
+                    .find(|e| e.ia == u_ia)
+                    .expect("hop exists in segment");
+                for upe in &u_entry.peers {
+                    for (j, &(d_ia, _, _)) in down_hops.iter().enumerate() {
+                        if upe.peer != d_ia {
+                            continue;
+                        }
+                        let d_entry = down
+                            .pcb()
+                            .entries
+                            .iter()
+                            .find(|e| e.ia == d_ia)
+                            .expect("hop exists in segment");
+                        // Require the *same physical link* advertised on both
+                        // sides: local/remote interface ids must cross-match.
+                        let matched = d_entry.peers.iter().any(|dpe| {
+                            dpe.peer == u_ia
+                                && dpe.peer_if == upe.hop.ingress
+                                && upe.peer_if == dpe.hop.ingress
+                        });
+                        if !matched {
+                            continue;
+                        }
+                        let mut hops: Vec<TraversalHop> = up_hops[..=i].to_vec();
+                        hops.last_mut().expect("non-empty").2 = upe.hop.ingress;
+                        let mut down_tail = down_hops[j..].to_vec();
+                        down_tail[0].1 = upe.peer_if;
+                        hops.extend(down_tail);
+                        let path = EndToEndPath { hops };
+                        if path.check().is_ok() {
+                            return Ok(path);
+                        }
+                    }
+                }
+            }
+            Err(CombineError::NoPeeringLink)
+        }
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Every second pair of the seven-AS pool peers, over one fixed
+        /// link whose interface ids name the far side.
+        fn peering_links(of: u64) -> impl Iterator<Item = (u64, IfId, IfId)> {
+            (1..=7u64)
+                .filter(move |&peer| peer != of && peer % 2 == of % 2)
+                .map(move |peer| (peer, IfId(20 + peer as u16), IfId(20 + of as u16)))
+        }
+
+        /// One drawn hop: AS pick, ingress, egress (0 = none), and which of
+        /// the AS's peering links it advertises.
+        type Hop = (u64, u16, u16, u8);
+
+        fn hops() -> impl Strategy<Value = Vec<Hop>> {
+            proptest::collection::vec((0u64..5, 0u16..12, 0u16..12, any::<u8>()), 1..6)
+        }
+
+        /// A segment over ISD 1: the origin is core AS 1 or 2, the others
+        /// come from ASes 3–7 (a core segment ends at a core AS again), an
+        /// AS already on the segment is skipped — beaconing never loops —
+        /// and any interior interface may be missing. `role` is the type
+        /// the caller's slot wants; one draw in eight hands back another.
+        fn segment(tr: &TrustStore, role: SegmentType, type_pick: u8, hops: &[Hop]) -> PathSegment {
+            let seg_type = match (type_pick % 8, role) {
+                (0, SegmentType::Core) => SegmentType::Down,
+                (0, _) => SegmentType::Core,
+                _ => role,
+            };
+            let origin = ia(1, 1 + hops[0].0 % 2);
+            let lifetime = Duration::from_hours(6);
+            let mut pcb = Pcb::originate(origin, IfId(1), SimTime::ZERO, lifetime, 0, tr);
+            for (i, &(pick, ..)) in hops.iter().enumerate().skip(1) {
+                let last_of_core = role == SegmentType::Core && i + 1 == hops.len();
+                let next = if last_of_core {
+                    ia(1, 1 + pick % 2)
+                } else {
+                    ia(1, 3 + pick)
+                };
+                if pcb.contains_as(next) {
+                    continue;
+                }
+                let peers = peering_links(next.asn.value())
+                    .filter(|&(peer, ..)| hops[i].3 >> peer & 1 == 1)
+                    .map(|(peer, local_if, peer_if)| PeerEntry {
+                        peer: ia(1, peer),
+                        peer_if,
+                        hop: HopField::new(
+                            local_if,
+                            IfId::NONE,
+                            SimTime::ZERO + lifetime,
+                            forwarding_key(next),
+                        ),
+                    })
+                    .collect();
+                pcb = pcb.extend(next, IfId(1), IfId(1), peers, tr);
+            }
+            // Combination reads interfaces, not signatures: overwrite them
+            // with the drawn ones, the terminal's egress excepted.
+            let n = pcb.entries.len();
+            for (i, (entry, &(_, ingress, egress, _))) in
+                pcb.entries.iter_mut().zip(hops).enumerate()
+            {
+                entry.hop.ingress = IfId(ingress);
+                entry.hop.egress = if i + 1 == n { IfId::NONE } else { IfId(egress) };
+            }
+            PathSegment::from_terminated_pcb(seg_type, pcb)
+        }
+
+        fn loop_free(path: &EndToEndPath) -> bool {
+            let ases = path.as_path();
+            (0..ases.len()).all(|i| !ases[..i].contains(&ases[i]))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+            /// The borrowing combiners return what the copying ones do —
+            /// the same path or the same error — and every path returned is
+            /// well-formed and joins the right endpoints.
+            #[test]
+            fn prop_combiners_match_the_copying_reference(
+                up in hops(),
+                core in hops(),
+                down in hops(),
+                types in (any::<u8>(), any::<u8>(), any::<u8>()),
+                given in 0u8..8,
+            ) {
+                let tr = trust();
+                let up = segment(&tr, SegmentType::Up, types.0, &up);
+                let core = segment(&tr, SegmentType::Core, types.1, &core);
+                let down = segment(&tr, SegmentType::Down, types.2, &down);
+
+                let pick = |bit: u8, seg| (given >> bit & 1 == 1).then_some(seg);
+                let (u, c, d) = (pick(0, &up), pick(1, &core), pick(2, &down));
+                let combined = combine_paths(u, c, d);
+                prop_assert_eq!(&combined, &reference::combine_paths(u, c, d));
+                let shortcut = shortcut_path(&up, &down);
+                prop_assert_eq!(&shortcut, &reference::shortcut_path(&up, &down));
+                let peering = peering_path(&up, &down);
+                prop_assert_eq!(&peering, &reference::peering_path(&up, &down));
+
+                if let Ok(path) = &combined {
+                    // Up-segments are left at their origin, a core segment
+                    // at whichever end the path did not enter it by.
+                    let source = match (u, c, d) {
+                        (Some(u), ..) => u.terminal(),
+                        (None, Some(c), _) => c.origin(),
+                        (None, None, d) => d.expect("a segment was given").origin(),
+                    };
+                    let destination = match (u, c, d) {
+                        (.., Some(d)) => d.terminal(),
+                        (None, Some(c), None) => c.terminal(),
+                        (Some(u), Some(c), None) if c.origin() == u.origin() => c.terminal(),
+                        (Some(_), Some(c), None) => c.origin(),
+                        (u, None, None) => u.expect("a segment was given").origin(),
+                    };
+                    prop_assert_eq!((path.source(), path.destination()), (source, destination));
+                }
+                for path in [&combined, &shortcut, &peering].into_iter().flatten() {
+                    prop_assert_eq!(path.check(), Ok(()));
+                    prop_assert!(loop_free(path));
+                }
+                for path in [&shortcut, &peering].into_iter().flatten() {
+                    prop_assert_eq!(
+                        (path.source(), path.destination()),
+                        (up.terminal(), down.terminal())
+                    );
+                }
+            }
+        }
     }
 
     #[test]

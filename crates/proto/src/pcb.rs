@@ -313,15 +313,18 @@ impl Pcb {
     /// *not* included — the receiver resolves it via
     /// [`Pcb::dangling_egress`] and its own arrival interface.
     pub fn interior_links(&self) -> Vec<(LinkEnd, LinkEnd)> {
-        self.entries
-            .windows(2)
-            .map(|w| {
-                (
-                    LinkEnd::new(w[0].ia, w[0].hop.egress),
-                    LinkEnd::new(w[1].ia, w[1].hop.ingress),
-                )
-            })
-            .collect()
+        self.links_iter().collect()
+    }
+
+    /// [`Pcb::interior_links`] without the `Vec`: the same pairs, read off
+    /// the entries as the iterator advances.
+    pub fn links_iter(&self) -> impl Iterator<Item = (LinkEnd, LinkEnd)> + Clone + '_ {
+        self.entries.windows(2).map(|w| {
+            (
+                LinkEnd::new(w[0].ia, w[0].hop.egress),
+                LinkEnd::new(w[1].ia, w[1].hop.ingress),
+            )
+        })
     }
 
     /// The last entry's `(AS, egress interface)` — the local end of the

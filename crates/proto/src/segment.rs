@@ -12,11 +12,13 @@
 //! segment" — segments are stored in beaconing direction (origin first) and
 //! reversal happens at path-construction time ([`crate::combine`]).
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use scion_types::{IfId, IsdAsn, LinkEnd, SimTime};
 
-use crate::pcb::{PathKey, Pcb};
+use crate::pcb::{AsEntry, PathKey, Pcb};
 
 /// The role a segment plays in end-to-end path construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -32,12 +34,35 @@ pub enum SegmentType {
 /// A hop of a traversal: `(AS, ingress, egress)` in travel direction.
 pub type TraversalHop = (IsdAsn, IfId, IfId);
 
+/// The hop an entry stands for when its segment is travelled in beaconing
+/// direction.
+pub(crate) fn forward_hop(e: &AsEntry) -> TraversalHop {
+    (e.ia, e.hop.ingress, e.hop.egress)
+}
+
+/// The hop an entry stands for when its segment is travelled against
+/// beaconing direction: ingress and egress swap.
+pub(crate) fn reversed_hop(e: &AsEntry) -> TraversalHop {
+    (e.ia, e.hop.egress, e.hop.ingress)
+}
+
 /// A finalized path segment.
+///
+/// The beacon never changes once terminated, so the segment holds it behind
+/// an [`Arc`]: a clone — a cache hit, an upstream answer, a re-registration
+/// — shares the signed entries instead of copying them. `Arc`, not `Rc`,
+/// because path servers cross worker threads. Serialized, the pointer is
+/// invisible.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PathSegment {
     pub seg_type: SegmentType,
-    pcb: Pcb,
+    pcb: Arc<Pcb>,
 }
+
+const _: fn() = || {
+    fn shareable<T: Send + Sync>() {}
+    shareable::<PathSegment>();
+};
 
 impl PathSegment {
     /// Finalizes a beacon into a segment.
@@ -52,7 +77,10 @@ impl PathSegment {
             last.hop.egress.is_none(),
             "segment requires a terminated beacon (last egress must be NONE)"
         );
-        PathSegment { seg_type, pcb }
+        PathSegment {
+            seg_type,
+            pcb: Arc::new(pcb),
+        }
     }
 
     /// The underlying beacon (read-only).
@@ -98,27 +126,24 @@ impl PathSegment {
         self.pcb.interior_links()
     }
 
+    /// [`PathSegment::links`] without the `Vec`.
+    pub fn links_iter(&self) -> impl Iterator<Item = (LinkEnd, LinkEnd)> + Clone + '_ {
+        self.pcb.links_iter()
+    }
+
     /// The hops in beaconing direction (origin first): `(AS, ingress,
     /// egress)` — the origin's ingress and the terminal's egress are
-    /// [`IfId::NONE`].
-    pub fn hops_forward(&self) -> Vec<TraversalHop> {
-        self.pcb
-            .entries
-            .iter()
-            .map(|e| (e.ia, e.hop.ingress, e.hop.egress))
-            .collect()
+    /// [`IfId::NONE`]. Borrows the segment; nothing is copied.
+    pub fn forward_hops(&self) -> impl ExactSizeIterator<Item = TraversalHop> + Clone + '_ {
+        self.pcb.entries.iter().map(forward_hop)
     }
 
     /// The hops reversed for up-path traversal (terminal first, ingress and
     /// egress swapped): "up- and down-path segments are interchangeable,
-    /// simply by reversing the order of ASes" (§2.2).
-    pub fn hops_reversed(&self) -> Vec<TraversalHop> {
-        self.pcb
-            .entries
-            .iter()
-            .rev()
-            .map(|e| (e.ia, e.hop.egress, e.hop.ingress))
-            .collect()
+    /// simply by reversing the order of ASes" (§2.2). Borrows the segment;
+    /// nothing is copied.
+    pub fn reversed_hops(&self) -> impl ExactSizeIterator<Item = TraversalHop> + Clone + '_ {
+        self.pcb.entries.iter().rev().map(reversed_hop)
     }
 
     /// The AS-level path in beaconing direction.
@@ -191,8 +216,8 @@ mod tests {
     fn reversal_swaps_direction_and_interfaces() {
         let tr = trust();
         let seg = PathSegment::from_terminated_pcb(SegmentType::Down, terminated(&tr));
-        let fwd = seg.hops_forward();
-        let rev = seg.hops_reversed();
+        let fwd: Vec<TraversalHop> = seg.forward_hops().collect();
+        let rev: Vec<TraversalHop> = seg.reversed_hops().collect();
         assert_eq!(fwd.len(), rev.len());
         // Reversed first hop is the terminal AS with swapped interfaces.
         assert_eq!(rev[0], (ia(1, 3), IfId::NONE, IfId(7)));
@@ -211,6 +236,49 @@ mod tests {
         let mut r = r;
         r.sort();
         assert_eq!(f, r);
+    }
+
+    #[test]
+    fn clone_shares_the_beacon() {
+        let tr = trust();
+        let seg = PathSegment::from_terminated_pcb(SegmentType::Down, terminated(&tr));
+        let copy = seg.clone();
+        assert!(Arc::ptr_eq(&seg.pcb, &copy.pcb));
+        assert_eq!(seg, copy);
+    }
+
+    /// `serde_json::to_string` of the `terminated` down-segment, captured at
+    /// the commit before the segment held its beacon behind a pointer.
+    const GOLDEN_JSON: &str = concat!(
+        r#"{"seg_type":"Down","pcb":{"origin":{"isd":1,"asn":1},"initiated_at":0,"expires_at":21600"#,
+        r#"000000,"segment_id":0,"entries":[{"ia":{"isd":1,"asn":1},"hop":{"ingress":0,"egress":5,""#,
+        r#"expiry":21600000000,"mac":[173,191,169,92,57,18]},"peers":[],"signature":[139,211,127,23"#,
+        r#"3,252,60,225,156,189,41,241,106,197,117,35,130,185,62,49,243,1,68,15,119,131,108,72,159,"#,
+        r#"198,116,204,141,192,195,241,25,201,147,237,63,173,194,106,180,161,247,237,38,199,235,9,1"#,
+        r#"57,222,161,134,244,173,157,133,63,40,166,45,28,101,184,233,52,248,109,52,21,111,201,147,"#,
+        r#"189,155,241,247,54,38,16,23,46,221,6,60,104,80,74,96,5,84,186,118,83]},{"ia":{"isd":1,"a"#,
+        r#"sn":2},"hop":{"ingress":1,"egress":2,"expiry":21600000000,"mac":[9,2,164,122,30,223]},"p"#,
+        r#"eers":[],"signature":[245,83,225,4,116,22,115,194,238,20,61,154,113,99,78,204,207,153,21"#,
+        r#"8,64,230,27,254,109,56,177,71,132,249,238,225,2,7,97,79,183,147,91,77,151,72,186,72,91,9"#,
+        r#"9,7,147,198,38,106,218,77,168,85,35,44,50,186,74,160,197,63,166,117,96,120,121,194,181,1"#,
+        r#"14,47,32,6,135,39,222,80,2,99,57,69,20,114,1,39,37,206,165,4,10,246,18,167,12,110,76]},{"#,
+        r#""ia":{"isd":1,"asn":3},"hop":{"ingress":7,"egress":0,"expiry":21600000000,"mac":[51,145,"#,
+        r#"38,220,174,213]},"peers":[],"signature":[156,239,178,183,58,85,153,34,35,251,33,140,148,"#,
+        r#"99,15,217,73,14,20,118,254,79,90,247,101,78,93,37,145,24,36,241,22,213,61,246,81,90,208,"#,
+        r#"141,149,74,24,243,31,236,74,105,151,167,10,182,142,251,138,21,83,56,255,143,139,136,27,1"#,
+        r#"26,107,231,65,244,173,249,195,34,202,51,90,5,50,30,143,240,9,164,248,116,69,195,29,14,88"#,
+        r#",126,109,148,64,196,10,8]}]}}"#,
+    );
+
+    #[test]
+    fn serialized_form_does_not_show_the_pointer() {
+        let tr = trust();
+        let seg = PathSegment::from_terminated_pcb(SegmentType::Down, terminated(&tr));
+        let json = serde_json::to_string(&seg).unwrap();
+        assert_eq!(json, GOLDEN_JSON);
+        let back: PathSegment = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, seg);
+        assert!(!Arc::ptr_eq(&back.pcb, &seg.pcb));
     }
 
     #[test]
