@@ -26,8 +26,7 @@ use scion_topology::LinkIndex;
 use scion_types::SimTime;
 
 use crate::experiments::fig6::sample_pairs;
-use crate::experiments::world::World;
-use crate::scale::ExperimentScale;
+use crate::experiments::RunCtx;
 
 /// One ablation variant's outcome.
 #[derive(Clone, Debug, Serialize)]
@@ -79,10 +78,10 @@ fn variants() -> Vec<(String, DiversityParams)> {
     ]
 }
 
-/// Runs the ablation at the given scale.
-pub fn run_ablation(scale: ExperimentScale) -> AblationResult {
-    let params = scale.params();
-    let world = World::build(params);
+/// Runs the ablation on the context's world.
+pub fn run(ctx: &mut RunCtx) -> AblationResult {
+    let world = ctx.world();
+    let params = world.params;
     let pairs = sample_pairs(&world.core, params.quality_pairs.min(100), params.seed);
     let core_links: Vec<LinkIndex> = world.core.core_links();
     let now = SimTime::ZERO + params.sim_duration;
@@ -130,10 +129,11 @@ pub fn run_ablation(scale: ExperimentScale) -> AblationResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::ExperimentScale;
 
     #[test]
     fn ablation_shows_each_ingredient_matters() {
-        let r = run_ablation(ExperimentScale::Tiny);
+        let r = run(&mut RunCtx::new(ExperimentScale::Tiny));
         let get = |name: &str| {
             r.rows
                 .iter()

@@ -20,12 +20,11 @@ use scion_analysis::{Cdf, Summary};
 use scion_beaconing::{run_beaconing, BeaconingOutcome, BeaconingRun, Scope};
 use scion_bgp::monthly::pick_monitors;
 use scion_bgp::{monthly_overhead, MonthlyConfig};
-use scion_telemetry::{phase, Telemetry};
+use scion_telemetry::phase;
 use scion_topology::{AsIndex, AsTopology};
 use scion_types::Duration;
 
-use crate::experiments::world::World;
-use crate::scale::ExperimentScale;
+use crate::experiments::RunCtx;
 
 /// One monitor's monthly byte totals and ratios.
 #[derive(Clone, Debug, Serialize)]
@@ -79,29 +78,16 @@ pub fn received_bytes(topo: &AsTopology, outcome: &BeaconingOutcome, idx: AsInde
     total
 }
 
-/// Runs the Figure 5 pipeline at the given scale.
-pub fn run_fig5(scale: ExperimentScale) -> Fig5Result {
-    run_fig5_telemetry(scale, &mut Telemetry::disabled())
-}
-
-/// Like [`run_fig5`], recording telemetry for each of the four runs under
-/// distinct run labels (`bgp_month`, `core_baseline`, `core_diversity`,
-/// `intra_isd`).
-pub fn run_fig5_telemetry(scale: ExperimentScale, tel: &mut Telemetry) -> Fig5Result {
-    run_fig5_with(scale, 1, tel)
-}
-
-/// Like [`run_fig5_telemetry`], with the beaconing runs sharded over
-/// `threads` workers (every output is identical for every count).
-pub fn run_fig5_with(scale: ExperimentScale, threads: usize, tel: &mut Telemetry) -> Fig5Result {
-    let world = World::build(scale.params());
-    run_fig5_in(&world, threads, tel)
-}
-
-/// Like [`run_fig5_with`], on a pre-built world — the entry point for
-/// ingested (file-derived) topologies, which construct their world via
-/// [`World::from_internet`].
-pub fn run_fig5_in(world: &World, threads: usize, tel: &mut Telemetry) -> Fig5Result {
+/// Runs the Figure 5 pipeline on the context's world. A recording run
+/// keeps each of the four runs under its own run label (`bgp_month`,
+/// `core_baseline`, `core_diversity`, `intra_isd`); the beaconing runs are
+/// sharded over `ctx.threads` workers (every output is identical for every
+/// count).
+pub fn run(ctx: &mut RunCtx) -> Fig5Result {
+    let world = ctx.world();
+    let threads = ctx.threads;
+    let mut handle = ctx.telemetry();
+    let tel = &mut handle;
     let params = world.params;
 
     // --- BGP + BGPsec: one month of dynamics on the full topology. ---
@@ -173,6 +159,7 @@ pub fn run_fig5_in(world: &World, threads: usize, tel: &mut Telemetry) -> Fig5Re
         core_diversity: scaled(core_div.total_bytes()),
         intra_isd: scaled(intra.total_bytes()),
     };
+    ctx.keep("", handle);
     Fig5Result {
         rows,
         summaries,
@@ -215,10 +202,13 @@ fn summarize(rows: &[MonitorRow]) -> Vec<SeriesSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::world::World;
+    use crate::scale::ExperimentScale;
+    use scion_telemetry::Telemetry;
 
     #[test]
     fn fig5_tiny_reproduces_the_ordering() {
-        let r = run_fig5(ExperimentScale::Tiny);
+        let r = run(&mut RunCtx::new(ExperimentScale::Tiny));
         assert!(!r.rows.is_empty());
         // The paper's headline ordering on network totals:
         // diversity < baseline (by a lot), intra-ISD is small.
@@ -236,9 +226,9 @@ mod tests {
 
     #[test]
     fn fig5_telemetry_labels_all_runs() {
-        use scion_telemetry::TelemetryConfig;
-        let mut tel = Telemetry::new(TelemetryConfig::default());
-        let _ = run_fig5_telemetry(ExperimentScale::Tiny, &mut tel);
+        let mut ctx = RunCtx::new(ExperimentScale::Tiny).recording();
+        let _ = run(&mut ctx);
+        let tel = ctx.dumped("");
         let runs: std::collections::HashSet<&str> =
             tel.series.samples().iter().map(|s| s.run).collect();
         assert!(runs.contains("core_baseline"), "runs: {runs:?}");

@@ -31,8 +31,7 @@ use scion_telemetry::Telemetry;
 use scion_topology::{AsIndex, AsTopology, LinkIndex};
 use scion_types::SimTime;
 
-use crate::experiments::world::World;
-use crate::scale::ExperimentScale;
+use crate::experiments::RunCtx;
 
 /// Quality values per series, index-aligned with `pairs`.
 #[derive(Clone, Debug, Serialize)]
@@ -184,10 +183,10 @@ pub fn run_quality_on(
     }
 }
 
-/// Runs Figures 6a/6b at the given scale.
-pub fn run_fig6(scale: ExperimentScale) -> Fig6Result {
-    let params = scale.params();
-    let world = World::build(params);
+/// Runs Figures 6a/6b on the context's world.
+pub fn run(ctx: &mut RunCtx) -> Fig6Result {
+    let world = ctx.world();
+    let params = world.params;
     let pairs = sample_pairs(&world.core, params.quality_pairs, params.seed);
     run_quality_on(
         &world.core,
@@ -201,10 +200,12 @@ pub fn run_fig6(scale: ExperimentScale) -> Fig6Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::world::World;
+    use crate::scale::ExperimentScale;
 
     #[test]
     fn fig6_tiny_has_expected_dominance_structure() {
-        let r = run_fig6(ExperimentScale::Tiny);
+        let r = run(&mut RunCtx::new(ExperimentScale::Tiny));
         let get = |name: &str| -> f64 {
             r.fraction_of_optimum
                 .iter()

@@ -33,8 +33,7 @@ use scion_topology::{AsIndex, AsTopology, LinkIndex};
 use scion_types::{Duration, IfId, SimTime};
 
 use crate::experiments::fig6::sample_pairs;
-use crate::experiments::world::World;
-use crate::scale::ExperimentScale;
+use crate::experiments::RunCtx;
 
 /// Packets stamped onto each sampled path.
 pub const PACKETS_PER_PATH: usize = 500;
@@ -150,10 +149,17 @@ struct ArmOutcome {
     drops: BTreeMap<String, u64>,
 }
 
-/// BFS shortest path from `src` to `dst` with the topology's actual
-/// interface ids, as an [`EndToEndPath`]. Deterministic: neighbor
-/// expansion follows the stable [`AsTopology::incident`] order.
-fn shortest_path(topo: &AsTopology, src: AsIndex, dst: AsIndex) -> Option<EndToEndPath> {
+/// BFS shortest path from `src` to `dst` avoiding `banned` links, with the
+/// topology's actual interface ids, as an [`EndToEndPath`]. Deterministic:
+/// neighbor expansion follows the stable [`AsTopology::incident`] order.
+/// Repeated calls with a growing ban set yield link-disjoint alternatives
+/// (the recovery experiment's use); this experiment bans nothing.
+pub(crate) fn shortest_path(
+    topo: &AsTopology,
+    src: AsIndex,
+    dst: AsIndex,
+    banned: &HashSet<LinkIndex>,
+) -> Option<EndToEndPath> {
     let n = topo.num_ases();
     // prev[v] = (predecessor, its egress ifid, v's ingress ifid)
     let mut prev: Vec<Option<(AsIndex, IfId, IfId)>> = vec![None; n];
@@ -162,15 +168,16 @@ fn shortest_path(topo: &AsTopology, src: AsIndex, dst: AsIndex) -> Option<EndToE
     visited[src.as_usize()] = true;
     queue.push_back(src);
     'search: while let Some(u) = queue.pop_front() {
-        for (_, v, local_if, remote_if) in topo.incident(u) {
-            if !visited[v.as_usize()] {
-                visited[v.as_usize()] = true;
-                prev[v.as_usize()] = Some((u, local_if, remote_if));
-                if v == dst {
-                    break 'search;
-                }
-                queue.push_back(v);
+        for (li, v, local_if, remote_if) in topo.incident(u) {
+            if banned.contains(&li) || visited[v.as_usize()] {
+                continue;
             }
+            visited[v.as_usize()] = true;
+            prev[v.as_usize()] = Some((u, local_if, remote_if));
+            if v == dst {
+                break 'search;
+            }
+            queue.push_back(v);
         }
     }
     if !visited[dst.as_usize()] {
@@ -388,7 +395,7 @@ fn arm_record(
 /// Deterministic telemetry fingerprint of a recording handle: every final
 /// counter/gauge/histogram plus every retained trace record. Wall-clock
 /// (profiler) state is deliberately excluded.
-fn telemetry_fingerprint(tel: &Telemetry) -> Vec<String> {
+pub(crate) fn telemetry_fingerprint(tel: &Telemetry) -> Vec<String> {
     let mut out = Vec::new();
     for (id, label, value) in tel.metrics.counters() {
         out.push(format!("c/{id}/{label:?}/{value}"));
@@ -400,48 +407,28 @@ fn telemetry_fingerprint(tel: &Telemetry) -> Vec<String> {
         out.push(format!("h/{id}/{label:?}/{h:?}"));
     }
     for record in tel.traces.records() {
-        out.push(format!("t/{}/{:?}", record.t_us, record.event));
+        out.push(format!("t/{record:?}"));
     }
     out
 }
 
-/// Runs the forwarding bench with caller-supplied telemetry handles for
-/// the scalar and batched arms (recording handles make the arms' dumps
-/// byte-comparable; profiling is forced on either way so latency
-/// quantiles are always reported). `seed_override` replaces the scale's
-/// built-in master seed; `threads` sizes the batched arm's worker pool.
-pub fn run_forwarding_with(
-    scale: ExperimentScale,
-    seed_override: Option<u64>,
-    threads: usize,
-    tel_scalar: &mut Telemetry,
-    tel_batched: &mut Telemetry,
-) -> ForwardingResult {
-    let mut params = scale.params();
-    if let Some(seed) = seed_override {
-        params.seed = seed;
-    }
-    let world = World::build(params);
-    run_forwarding_in(&world, threads, tel_scalar, tel_batched)
-}
-
-/// Like [`run_forwarding_with`], on a pre-built world — the entry point
-/// for ingested (file-derived) topologies, which construct their world via
-/// [`World::from_internet`]. Seed overrides apply to the world's params
-/// before construction.
-pub fn run_forwarding_in(
-    world: &World,
-    threads: usize,
-    tel_scalar: &mut Telemetry,
-    tel_batched: &mut Telemetry,
-) -> ForwardingResult {
+/// Runs the forwarding bench on the context's world; `ctx.threads` sizes
+/// the batched arm's worker pool. The scalar and batched arms each run on
+/// their own handle, kept under `scalar` and `batched` — on a recording
+/// run the two dumps are byte-comparable. Profiling is forced on either
+/// way so latency quantiles are always reported.
+pub fn run(ctx: &mut RunCtx) -> ForwardingResult {
+    let world = ctx.world();
+    let threads = ctx.threads;
+    let (mut scalar_handle, mut batched_handle) = (ctx.telemetry(), ctx.telemetry());
+    let (tel_scalar, tel_batched) = (&mut scalar_handle, &mut batched_handle);
     let params = world.params;
     let topo = &world.core;
 
     let pairs = sample_pairs(topo, params.quality_pairs, params.seed);
     let paths: Vec<EndToEndPath> = pairs
         .iter()
-        .filter_map(|&(src, dst)| shortest_path(topo, src, dst))
+        .filter_map(|&(src, dst)| shortest_path(topo, src, dst, &HashSet::new()))
         .collect();
     assert!(
         !paths.is_empty(),
@@ -511,7 +498,7 @@ pub fn run_forwarding_in(
 
     let plain_secs = plain_wall.as_secs_f64().max(1e-9);
     let scalar_secs = scalar_wall.as_secs_f64().max(1e-9);
-    ForwardingResult {
+    let result = ForwardingResult {
         num_ases: topo.num_ases(),
         num_links: topo.num_links(),
         num_paths: paths.len(),
@@ -540,35 +527,21 @@ pub fn run_forwarding_in(
             ),
         ],
         outcomes_identical,
-    }
-}
-
-/// Runs the forwarding bench with profile-only telemetry (latency
-/// quantiles without counters, series, or traces).
-pub fn run_forwarding(
-    scale: ExperimentScale,
-    seed_override: Option<u64>,
-    threads: usize,
-) -> ForwardingResult {
-    let mut tel_scalar = Telemetry::disabled();
-    let mut tel_batched = Telemetry::disabled();
-    run_forwarding_with(
-        scale,
-        seed_override,
-        threads,
-        &mut tel_scalar,
-        &mut tel_batched,
-    )
+    };
+    ctx.keep("scalar", scalar_handle);
+    ctx.keep("batched", batched_handle);
+    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scion_telemetry::TelemetryConfig;
+    use crate::experiments::world::World;
+    use crate::scale::ExperimentScale;
 
     #[test]
     fn forwarding_tiny_delivers_and_audits_clean() {
-        let r = run_forwarding(ExperimentScale::Tiny, None, 2);
+        let r = run(&mut RunCtx::new(ExperimentScale::Tiny).with_threads(2));
         assert!(r.outcomes_identical, "{r:?}");
         assert_eq!(r.num_packets, r.num_paths * PACKETS_PER_PATH);
         assert_eq!(r.arms.len(), 2);
@@ -596,11 +569,13 @@ mod tests {
 
     #[test]
     fn forwarding_arms_agree_on_recording_handles() {
-        let mut tel_s = Telemetry::new(TelemetryConfig::default());
-        let mut tel_b = Telemetry::new(TelemetryConfig::default());
-        let r = run_forwarding_with(ExperimentScale::Bench, None, 2, &mut tel_s, &mut tel_b);
+        let mut ctx = RunCtx::new(ExperimentScale::Bench)
+            .with_threads(2)
+            .recording();
+        let r = run(&mut ctx);
+        let (tel_s, tel_b) = (ctx.dumped("scalar"), ctx.dumped("batched"));
         assert!(r.outcomes_identical, "{r:?}");
-        assert_eq!(telemetry_fingerprint(&tel_s), telemetry_fingerprint(&tel_b));
+        assert_eq!(telemetry_fingerprint(tel_s), telemetry_fingerprint(tel_b));
         assert!(tel_s.traces.emitted() > 0);
         // The per-packet trace stream contains every lifecycle kind.
         let events: Vec<&TraceEvent> = tel_s.traces.records().map(|t| &t.event).collect();
@@ -622,12 +597,13 @@ mod tests {
     }
 
     #[test]
-    fn shortest_paths_verify_end_to_end() {
+    fn bfs_paths_verify_end_to_end() {
         let params = ExperimentScale::Bench.params();
         let world = World::build(params);
         let pairs = sample_pairs(&world.core, 10, params.seed);
         for &(src, dst) in &pairs {
-            let path = shortest_path(&world.core, src, dst).expect("core is connected");
+            let path =
+                shortest_path(&world.core, src, dst, &HashSet::new()).expect("core is connected");
             path.check().expect("BFS path is well-formed");
             assert_eq!(path.source(), world.core.node(src).ia);
             assert_eq!(path.destination(), world.core.node(dst).ia);

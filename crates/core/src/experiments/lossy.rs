@@ -36,8 +36,7 @@ use scion_topology::{AsTopology, LinkIndex, Relationship};
 use scion_types::{Asn, Duration, IfId, Isd, IsdAsn, SimTime};
 
 use crate::experiments::fig6::sample_pairs;
-use crate::experiments::world::World;
-use crate::scale::ExperimentScale;
+use crate::experiments::RunCtx;
 
 /// The default sweep: per-message loss probability of every link.
 pub const LOSS_RATES: [f64; 5] = [0.0, 0.001, 0.01, 0.05, 0.20];
@@ -140,49 +139,20 @@ pub struct LossyResult {
     pub degradation: DegradationStats,
 }
 
-/// Runs the lossy experiment at `scale` over the default [`LOSS_RATES`],
-/// optionally overriding the scale's master seed.
-pub fn run_lossy(scale: ExperimentScale, seed_override: Option<u64>) -> LossyResult {
-    run_lossy_telemetry(scale, seed_override, &mut Telemetry::disabled())
-}
-
-/// Telemetry-recording variant of [`run_lossy`].
-pub fn run_lossy_telemetry(
-    scale: ExperimentScale,
-    seed_override: Option<u64>,
-    tel: &mut Telemetry,
-) -> LossyResult {
-    run_lossy_with_rates(scale, seed_override, &LOSS_RATES, tel)
-}
-
-/// Runs the sweep over a caller-chosen rate list (the harness binary's
-/// `--loss` flag). Overheads and convergence are measured relative to the
-/// *first* sweep point, so custom sweeps should lead with their cleanest
-/// rate (the default sweep leads with zero loss).
-pub fn run_lossy_with_rates(
-    scale: ExperimentScale,
-    seed_override: Option<u64>,
-    rates: &[f64],
-    tel: &mut Telemetry,
-) -> LossyResult {
-    run_lossy_sweep(scale, seed_override, rates, 1, tel)
-}
-
-/// Like [`run_lossy_with_rates`], with the beaconing runs sharded over
-/// `threads` workers (every output is identical for every count).
-pub fn run_lossy_sweep(
-    scale: ExperimentScale,
-    seed_override: Option<u64>,
-    rates: &[f64],
-    threads: usize,
-    tel: &mut Telemetry,
-) -> LossyResult {
-    let mut params = scale.params();
-    if let Some(seed) = seed_override {
-        params.seed = seed;
-    }
+/// Runs the sweep over `ctx.loss_rates` (default [`LOSS_RATES`]; the
+/// harness binary's `--loss` flag) on the context's world. Overheads and
+/// convergence are measured relative to the *first* sweep point, so custom
+/// sweeps should lead with their cleanest rate (the default sweep leads
+/// with zero loss). The beaconing runs are sharded over `ctx.threads`
+/// workers (every output is identical for every count).
+pub fn run(ctx: &mut RunCtx) -> LossyResult {
+    let world = ctx.world();
+    let params = world.params;
     let seed = params.seed;
-    let world = World::build(params);
+    let threads = ctx.threads;
+    let rates = ctx.loss_rates.clone();
+    let mut handle = ctx.telemetry();
+    let tel = &mut handle;
     let topo = &world.core;
     let sim = params.sim_duration;
     let pairs = sample_pairs(topo, params.quality_pairs, seed);
@@ -260,7 +230,7 @@ pub fn run_lossy_sweep(
     };
     let points = raw
         .into_iter()
-        .zip(rates)
+        .zip(&rates)
         .map(|(arms, &rate)| {
             let [rel, ctl] = arms;
             let make = |r: Raw, name: &str, (base_frac, base_msgs, base_bytes): (f64, u64, u64)| {
@@ -288,6 +258,7 @@ pub fn run_lossy_sweep(
     tel.begin_run("degradation");
     let degradation = run_degradation_leg(seed, tel);
 
+    ctx.keep("", handle);
     LossyResult {
         seed,
         pairs: pairs.len(),
@@ -578,16 +549,15 @@ fn run_degradation_leg(seed: u64, tel: &mut Telemetry) -> DegradationStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::ExperimentScale;
 
     #[test]
     fn lossy_sweep_meets_acceptance_at_tiny_scale() {
         let rates = [0.0, 0.05, 0.20];
-        let r = run_lossy_with_rates(
-            ExperimentScale::Tiny,
-            Some(9),
-            &rates,
-            &mut Telemetry::disabled(),
-        );
+        let r = run(&mut RunCtx {
+            loss_rates: rates.to_vec(),
+            ..RunCtx::new(ExperimentScale::Tiny).with_seed(9)
+        });
         assert_eq!(r.points.len(), rates.len());
         assert!(r.pairs > 0);
 

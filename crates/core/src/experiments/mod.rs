@@ -14,11 +14,15 @@
 //! | [`recovery`] | Failure recovery of live flows — SCMP fast failover over cached multipaths vs path-server re-query vs reconvergence baseline, with per-flow outage CDFs (ours; §4.1 path revocations) |
 //! | [`overload`] | Overload protection of the lookup plane — flash-crowd sweep 0.5×–8× capacity, unprotected vs load-shedding vs shed+brownout+breaker (ours; §4.1 lookup amortization) |
 //!
-//! Every runner takes an [`crate::scale::ExperimentScale`] and returns a
-//! serializable result struct; the harness binaries in `scion-bench` print
-//! them as tables and JSON.
+//! Every module has one entry point, `run(&mut RunCtx) -> XResult`
+//! ([`scionlab`] has one per record: `run_fig78`, `run_fig9`). The
+//! [`RunCtx`] carries everything that varies between invocations — scale
+//! and seed, an ingested topology, worker threads, sweep lists, whether
+//! telemetry records — and the result is a serializable struct; the
+//! `scion-bench` binary renders it as a table and writes the JSON record.
 
 pub mod ablation;
+pub mod ctx;
 pub mod fig5;
 pub mod fig6;
 pub mod forwarding;
@@ -31,28 +35,5 @@ pub mod scionlab;
 pub mod table1;
 pub mod world;
 
-pub use ablation::run_ablation;
-pub use fig5::{run_fig5, run_fig5_in, run_fig5_telemetry, run_fig5_with};
-pub use fig6::run_fig6;
-pub use forwarding::{
-    run_forwarding, run_forwarding_in, run_forwarding_with, ForwardingArm, ForwardingResult,
-    LatencyQuantiles, PACKETS_PER_PATH,
-};
-pub use lossy::{
-    run_lossy, run_lossy_sweep, run_lossy_telemetry, run_lossy_with_rates, DegradationStats,
-    LossArm, LossPoint, LossyResult, LOSS_RATES,
-};
-pub use overload::{
-    run_overload, run_overload_sweep, run_overload_with, OverloadArm, OverloadParams,
-    OverloadPoint, OverloadResult, LOAD_PERMILLE,
-};
-pub use recovery::{
-    run_recovery, run_recovery_in, run_recovery_with, OutageCdf, RecoveryArm, RecoveryResult,
-};
-pub use resilience::{run_resilience, run_resilience_telemetry, ResilienceResult};
-pub use scaling::{
-    run_scaling, run_scaling_in, run_scaling_with, ScalingResult, ScalingRow, DEFAULT_THREAD_COUNTS,
-};
-pub use scionlab::{run_fig78, run_fig9};
-pub use table1::{run_table1, run_table1_in, run_table1_telemetry, run_table1_with};
+pub use ctx::RunCtx;
 pub use world::World;

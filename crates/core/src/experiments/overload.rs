@@ -72,6 +72,7 @@ use scion_telemetry::profile::phase;
 use scion_telemetry::{ids, Label, Telemetry, TraceEvent};
 use scion_types::{Asn, Duration, IfId, Isd, IsdAsn, SimTime};
 
+use crate::experiments::RunCtx;
 use crate::scale::ExperimentScale;
 
 /// Offered load per sweep point, permille of front-end service capacity.
@@ -287,38 +288,19 @@ pub struct OverloadResult {
     pub points: Vec<OverloadPoint>,
 }
 
-/// Runs the overload sweep at `scale` over the default [`LOAD_PERMILLE`]
-/// loads, optionally overriding the scale's master seed.
-pub fn run_overload(
-    scale: ExperimentScale,
-    seed_override: Option<u64>,
-    threads: usize,
-) -> OverloadResult {
-    run_overload_with(scale, seed_override, threads, &mut Telemetry::disabled())
-}
-
-/// Telemetry-recording variant of [`run_overload`].
-pub fn run_overload_with(
-    scale: ExperimentScale,
-    seed_override: Option<u64>,
-    threads: usize,
-    tel: &mut Telemetry,
-) -> OverloadResult {
-    let mut params = OverloadParams::for_scale(scale);
-    if let Some(seed) = seed_override {
-        params.seed = seed;
-    }
-    run_overload_sweep(&params, &LOAD_PERMILLE, threads, tel)
-}
-
-/// Runs the sweep at explicit sizing over a caller-chosen load list.
-pub fn run_overload_sweep(
-    params: &OverloadParams,
-    loads: &[u32],
-    threads: usize,
-    tel: &mut Telemetry,
-) -> OverloadResult {
-    let pool = WorkerPool::new(threads);
+/// Runs the overload sweep over `ctx.loads_permille` (default
+/// [`LOAD_PERMILLE`]), sized by `ctx.scale` and seeded from `ctx.params`.
+/// The experiment builds its own single-server world, not the context's.
+/// All arms and loads share one handle, disambiguated by run label.
+pub fn run(ctx: &mut RunCtx) -> OverloadResult {
+    let params = &OverloadParams {
+        seed: ctx.params.seed,
+        ..OverloadParams::for_scale(ctx.scale)
+    };
+    let loads = ctx.loads_permille.clone();
+    let mut handle = ctx.telemetry();
+    let tel = &mut handle;
+    let pool = WorkerPool::new(ctx.threads);
     let world = OverloadWorld::build(params);
     let mut points = Vec::with_capacity(loads.len());
     for (i, &load) in loads.iter().enumerate() {
@@ -340,6 +322,7 @@ pub fn run_overload_sweep(
             arms,
         });
     }
+    ctx.keep("", handle);
     OverloadResult {
         seed: params.seed,
         params: *params,
@@ -1053,14 +1036,16 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
 mod tests {
     use super::*;
 
-    fn tiny_sweep(loads: &[u32]) -> OverloadResult {
-        let params = OverloadParams::for_scale(ExperimentScale::Tiny);
-        run_overload_sweep(&params, loads, 2, &mut Telemetry::disabled())
+    fn tiny_sweep(loads: &[u32], threads: usize) -> OverloadResult {
+        run(&mut RunCtx {
+            loads_permille: loads.to_vec(),
+            ..RunCtx::new(ExperimentScale::Tiny).with_threads(threads)
+        })
     }
 
     #[test]
     fn overload_sweep_meets_acceptance_at_tiny_scale() {
-        let r = tiny_sweep(&[1000, 4000]);
+        let r = tiny_sweep(&[1000, 4000], 2);
         assert_eq!(r.points.len(), 2);
         let at = |load: u32| {
             r.points
@@ -1107,9 +1092,8 @@ mod tests {
 
     #[test]
     fn overload_sweep_is_deterministic_across_thread_counts() {
-        let params = OverloadParams::for_scale(ExperimentScale::Tiny);
-        let a = run_overload_sweep(&params, &[4000], 1, &mut Telemetry::disabled());
-        let b = run_overload_sweep(&params, &[4000], 8, &mut Telemetry::disabled());
+        let a = tiny_sweep(&[4000], 1);
+        let b = tiny_sweep(&[4000], 8);
         let ja = serde_json::to_string(&a).expect("serialize");
         let jb = serde_json::to_string(&b).expect("serialize");
         assert_eq!(ja, jb, "thread count leaked into the result");
@@ -1117,7 +1101,7 @@ mod tests {
 
     #[test]
     fn maintenance_traffic_outranks_the_flood_only_when_shedding() {
-        let r = tiny_sweep(&[8000]);
+        let r = tiny_sweep(&[8000], 2);
         let arms = &r.points[0].arms;
         let (baseline, shed) = (&arms[0], &arms[1]);
         // Priority admission serves every registration/revocation even at

@@ -36,7 +36,7 @@
 //! `metrics`/`series`/`trace` JSONL across reruns and worker-thread counts
 //! (`tests/recovery_determinism.rs`).
 
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::time::Instant;
 
 use serde::Serialize;
@@ -54,16 +54,13 @@ use scion_proto::pcb::Pcb;
 use scion_proto::segment::{PathSegment, SegmentType};
 use scion_simulator::{Engine, Event, LatencyModel, WorkerPool};
 use scion_telemetry::trace::TraceEvent;
-#[cfg(test)]
-use scion_telemetry::TelemetryConfig;
 use scion_telemetry::{ids, phase, Label, Telemetry};
 use scion_topology::{AsIndex, AsTopology, LinkIndex};
 use scion_types::{Duration, IfId, IsdAsn, LinkEnd, SimTime};
 
 use crate::experiments::fig6::sample_pairs;
-use crate::experiments::forwarding::{quantiles, LatencyQuantiles};
-use crate::experiments::world::World;
-use crate::scale::ExperimentScale;
+use crate::experiments::forwarding::{quantiles, shortest_path, LatencyQuantiles};
+use crate::experiments::RunCtx;
 
 /// Send cadence of every flow.
 const TICK_INTERVAL: Duration = Duration::from_millis(50);
@@ -343,56 +340,6 @@ pub struct RecoveryResult {
     pub requery_latency: Option<LatencyQuantiles>,
 }
 
-/// BFS shortest path avoiding `banned` links; repeated calls with a
-/// growing ban set yield link-disjoint alternatives. Mirrors the
-/// forwarding experiment's router, which is private to that module.
-fn shortest_path_avoiding(
-    topo: &AsTopology,
-    src: AsIndex,
-    dst: AsIndex,
-    banned: &HashSet<LinkIndex>,
-) -> Option<EndToEndPath> {
-    let n = topo.num_ases();
-    let mut prev: Vec<Option<(AsIndex, IfId, IfId)>> = vec![None; n];
-    let mut visited = vec![false; n];
-    let mut queue = VecDeque::new();
-    visited[src.as_usize()] = true;
-    queue.push_back(src);
-    'search: while let Some(u) = queue.pop_front() {
-        for (li, v, local_if, remote_if) in topo.incident(u) {
-            if banned.contains(&li) || visited[v.as_usize()] {
-                continue;
-            }
-            visited[v.as_usize()] = true;
-            prev[v.as_usize()] = Some((u, local_if, remote_if));
-            if v == dst {
-                break 'search;
-            }
-            queue.push_back(v);
-        }
-    }
-    if !visited[dst.as_usize()] {
-        return None;
-    }
-    let mut rev: Vec<(AsIndex, IfId, IfId)> = Vec::new();
-    let mut cur = dst;
-    let mut egress = IfId::NONE;
-    while cur != src {
-        let (pred, pred_egress, ingress) = prev[cur.as_usize()].expect("walked from dst");
-        rev.push((cur, ingress, egress));
-        egress = pred_egress;
-        cur = pred;
-    }
-    rev.push((src, IfId::NONE, egress));
-    rev.reverse();
-    Some(EndToEndPath {
-        hops: rev
-            .into_iter()
-            .map(|(idx, ingress, eg)| (topo.node(idx).ia, ingress, eg))
-            .collect(),
-    })
-}
-
 /// Dense link indices traversed by `path`, in hop order.
 fn path_link_indices(topo: &AsTopology, path: &EndToEndPath) -> Vec<LinkIndex> {
     let hops = &path.hops;
@@ -427,7 +374,7 @@ fn build_flows(
         let mut banned: HashSet<LinkIndex> = HashSet::new();
         let mut paths = Vec::new();
         for _ in 0..K_DISJOINT {
-            let Some(p) = shortest_path_avoiding(topo, src, dst, &banned) else {
+            let Some(p) = shortest_path(topo, src, dst, &banned) else {
                 break;
             };
             banned.extend(path_link_indices(topo, &p));
@@ -1217,32 +1164,14 @@ impl<'a> Sim<'a> {
     }
 }
 
-/// Runs the experiment with telemetry disabled.
-pub fn run_recovery(
-    scale: ExperimentScale,
-    seed_override: Option<u64>,
-    threads: usize,
-) -> RecoveryResult {
-    run_recovery_with(scale, seed_override, threads, &mut Telemetry::disabled())
-}
-
-/// Telemetry-recording variant of [`run_recovery`].
-pub fn run_recovery_with(
-    scale: ExperimentScale,
-    seed_override: Option<u64>,
-    threads: usize,
-    tel: &mut Telemetry,
-) -> RecoveryResult {
-    let mut params = scale.params();
-    if let Some(seed) = seed_override {
-        params.seed = seed;
-    }
-    let world = World::build(params);
-    run_recovery_in(&world, threads, tel)
-}
-
-/// Runs the three-arm recovery experiment over an already-built world.
-pub fn run_recovery_in(world: &World, threads: usize, tel: &mut Telemetry) -> RecoveryResult {
+/// Runs the three-arm recovery experiment on the context's world;
+/// `ctx.threads` sizes the dataplane's MAC-shard pool. All three arms
+/// share one handle, disambiguated by run label.
+pub fn run(ctx: &mut RunCtx) -> RecoveryResult {
+    let world = ctx.world();
+    let threads = ctx.threads;
+    let mut handle = ctx.telemetry();
+    let tel = &mut handle;
     let topo = &world.core;
     let seed = world.params.seed;
     let latency = LatencyModel::default_for(topo, seed);
@@ -1313,7 +1242,7 @@ pub fn run_recovery_in(world: &World, threads: usize, tel: &mut Telemetry) -> Re
         arms.push(sim.into_arm(victim));
     }
 
-    RecoveryResult {
+    let result = RecoveryResult {
         num_ases: topo.num_ases(),
         num_links: topo.num_links(),
         num_flows: flows.len(),
@@ -1334,12 +1263,17 @@ pub fn run_recovery_in(world: &World, threads: usize, tel: &mut Telemetry) -> Re
         tick_latency: quantiles(&tel.profile, phase::RECOVERY_TICK),
         scmp_latency: quantiles(&tel.profile, phase::RECOVERY_SCMP),
         requery_latency: quantiles(&tel.profile, phase::RECOVERY_REQUERY),
-    }
+    };
+    ctx.keep("", handle);
+    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::forwarding::telemetry_fingerprint;
+    use crate::experiments::world::World;
+    use crate::scale::ExperimentScale;
 
     fn arm<'a>(r: &'a RecoveryResult, name: &str) -> &'a RecoveryArm {
         r.arms.iter().find(|a| a.name == name).expect("arm present")
@@ -1393,7 +1327,7 @@ mod tests {
 
     #[test]
     fn recovery_three_arms_close_the_loop() {
-        let r = run_recovery(ExperimentScale::Tiny, None, 2);
+        let r = run(&mut RunCtx::new(ExperimentScale::Tiny).with_threads(2));
         assert_eq!(r.arms.len(), 3);
         let a = arm(&r, "no_failover");
         let b = arm(&r, "scmp_failover");
@@ -1475,12 +1409,14 @@ mod tests {
 
     #[test]
     fn recovery_is_thread_count_invariant() {
-        let mut one = Telemetry::new(TelemetryConfig::default());
-        let mut four = Telemetry::new(TelemetryConfig::default());
-        let r1 = run_recovery_with(ExperimentScale::Bench, None, 1, &mut one);
-        let r4 = run_recovery_with(ExperimentScale::Bench, None, 4, &mut four);
-        let f1 = telemetry_fingerprint(&one);
-        let f4 = telemetry_fingerprint(&four);
+        let mut one = RunCtx::new(ExperimentScale::Bench).recording();
+        let mut four = RunCtx::new(ExperimentScale::Bench)
+            .with_threads(4)
+            .recording();
+        let r1 = run(&mut one);
+        let r4 = run(&mut four);
+        let f1 = telemetry_fingerprint(one.dumped(""));
+        let f4 = telemetry_fingerprint(four.dumped(""));
         if f1 != f4 {
             for (i, (x, y)) in f1.iter().zip(&f4).enumerate() {
                 if x != y {
@@ -1495,22 +1431,5 @@ mod tests {
             assert_eq!(x.lost, y.lost);
             assert_eq!(x.outage_us.max, y.outage_us.max);
         }
-    }
-
-    fn telemetry_fingerprint(tel: &Telemetry) -> Vec<String> {
-        let mut out = Vec::new();
-        for (id, label, value) in tel.metrics.counters() {
-            out.push(format!("c/{id}/{label:?}/{value}"));
-        }
-        for (id, label, value) in tel.metrics.gauges() {
-            out.push(format!("g/{id}/{label:?}/{value}"));
-        }
-        for (id, label, h) in tel.metrics.histograms() {
-            out.push(format!("h/{id}/{label:?}/{h:?}"));
-        }
-        for record in tel.traces.records() {
-            out.push(format!("{record:?}"));
-        }
-        out
     }
 }

@@ -37,7 +37,7 @@ use scion_types::{Duration, IfId, SimTime};
 
 use crate::experiments::fig6::sample_pairs;
 use crate::experiments::world::World;
-use crate::scale::ExperimentScale;
+use crate::experiments::RunCtx;
 
 /// Active flows assumed per failed link when accounting SCMP
 /// notifications in the revocation leg (Table 1's per-flow global scope).
@@ -91,26 +91,15 @@ pub struct ResilienceResult {
     pub revocation: RevocationStats,
 }
 
-/// Runs the resilience experiment at `scale`, optionally overriding the
-/// scale's master seed (the `--seed` flag of the harness binary).
-pub fn run_resilience(scale: ExperimentScale, seed_override: Option<u64>) -> ResilienceResult {
-    run_resilience_telemetry(scale, seed_override, &mut Telemetry::disabled())
-}
-
-/// Telemetry-recording variant of [`run_resilience`]: each leg records
-/// under its own run label (`diversity` / `baseline` / `bgp` /
-/// `revocation`), so one dump holds all four curves.
-pub fn run_resilience_telemetry(
-    scale: ExperimentScale,
-    seed_override: Option<u64>,
-    tel: &mut Telemetry,
-) -> ResilienceResult {
-    let mut params = scale.params();
-    if let Some(seed) = seed_override {
-        params.seed = seed;
-    }
+/// Runs the resilience experiment on the context's world. A recording
+/// run keeps each leg under its own run label (`diversity` / `baseline` /
+/// `bgp` / `revocation`), so one dump holds all four curves.
+pub fn run(ctx: &mut RunCtx) -> ResilienceResult {
+    let world = ctx.world();
+    let params = world.params;
     let seed = params.seed;
-    let world = World::build(params);
+    let mut handle = ctx.telemetry();
+    let tel = &mut handle;
     let topo = &world.core;
     let sim = params.sim_duration;
 
@@ -170,6 +159,7 @@ pub fn run_resilience_telemetry(
     tel.begin_run("revocation");
     let revocation = run_revocation_leg(&world, sim, seed, tel);
 
+    ctx.keep("", handle);
     ResilienceResult {
         seed,
         pairs: pairs
@@ -345,10 +335,11 @@ fn run_revocation_leg(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::ExperimentScale;
 
     #[test]
     fn resilience_tiny_produces_all_series_and_sane_curves() {
-        let r = run_resilience(ExperimentScale::Tiny, Some(7));
+        let r = run(&mut RunCtx::new(ExperimentScale::Tiny).with_seed(7));
         assert_eq!(r.seed, 7);
         assert!(r.fault_events > 0, "a tiny run still churns");
         assert_eq!(r.series.len(), 3);
@@ -368,8 +359,8 @@ mod tests {
 
     #[test]
     fn resilience_is_deterministic_for_a_seed() {
-        let a = run_resilience(ExperimentScale::Tiny, Some(11));
-        let b = run_resilience(ExperimentScale::Tiny, Some(11));
+        let a = run(&mut RunCtx::new(ExperimentScale::Tiny).with_seed(11));
+        let b = run(&mut RunCtx::new(ExperimentScale::Tiny).with_seed(11));
         for (sa, sb) in a.series.iter().zip(&b.series) {
             assert_eq!(sa.curve, sb.curve, "{} curve differs", sa.name);
             assert_eq!(sa.messages, sb.messages);

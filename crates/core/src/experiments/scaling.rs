@@ -14,15 +14,12 @@
 //! the result records that cross-check so a scaling run doubles as a
 //! determinism audit at full experiment scale.
 
-use std::path::Path;
-
 use serde::Serialize;
 
 use scion_beaconing::{run_beaconing, Algorithm, BeaconingRun};
-use scion_telemetry::{phase, Profiler, Telemetry, TelemetryConfig};
+use scion_telemetry::{phase, Profiler};
 
-use crate::experiments::world::World;
-use crate::scale::ExperimentScale;
+use crate::experiments::RunCtx;
 
 /// Thread counts measured when the caller does not specify any.
 pub const DEFAULT_THREAD_COUNTS: &[usize] = &[1, 2, 4, 8];
@@ -76,41 +73,15 @@ impl ScalingResult {
     }
 }
 
-/// Runs the scaling sweep at the given scale over `thread_counts`
-/// (defaulting to [`DEFAULT_THREAD_COUNTS`] when empty).
-pub fn run_scaling(scale: ExperimentScale, thread_counts: &[usize]) -> ScalingResult {
-    run_scaling_with(scale, thread_counts, None)
-}
-
-/// Like [`run_scaling`], optionally exporting a full telemetry dump per
-/// thread count under `<dump_root>/threads-<n>/`. With a dump root every
-/// row runs on a *recording* handle (counters, series, traces, profile) —
-/// byte-comparing the deterministic files of two rows' dumps is a
-/// cross-thread-count determinism check with `telediff`. Recording adds
-/// measurable overhead, so rows with a dump root are not comparable to
-/// rows without one.
-pub fn run_scaling_with(
-    scale: ExperimentScale,
-    thread_counts: &[usize],
-    dump_root: Option<&Path>,
-) -> ScalingResult {
-    let world = World::build(scale.params());
-    run_scaling_in(&world, thread_counts, dump_root)
-}
-
-/// Like [`run_scaling_with`], on a pre-built world — the entry point for
-/// ingested (file-derived) topologies, which construct their world via
-/// [`World::from_internet`].
-pub fn run_scaling_in(
-    world: &World,
-    thread_counts: &[usize],
-    dump_root: Option<&Path>,
-) -> ScalingResult {
-    let counts = if thread_counts.is_empty() {
-        DEFAULT_THREAD_COUNTS
-    } else {
-        thread_counts
-    };
+/// Runs the scaling sweep on the context's world, one row per entry of
+/// `ctx.thread_counts` (default [`DEFAULT_THREAD_COUNTS`]). A recording
+/// run puts every row on a recording handle (counters, series, traces,
+/// profile) kept under `threads-<n>` — byte-comparing the deterministic
+/// files of two rows' dumps is a cross-thread-count determinism check with
+/// `telediff`. Recording adds measurable overhead, so rows of a recording
+/// run are not comparable to rows of a plain one.
+pub fn run(ctx: &mut RunCtx) -> ScalingResult {
+    let world = ctx.world();
     let mut params = world.params;
     // The shard stage parallelizes per-AS verification + selection; without
     // receiver-side verification the workload is mostly queue churn and the
@@ -119,20 +90,18 @@ pub fn run_scaling_in(
     params.verify_on_receive = true;
     let cfg = params.beaconing_config(Algorithm::Baseline);
 
+    let counts = ctx.thread_counts.clone();
     let mut rows: Vec<ScalingRow> = Vec::with_capacity(counts.len());
-    for &threads in counts {
+    for threads in counts {
         // Profile-only telemetry by default: phase wall-clocks without the
         // counters, series, and traces that would perturb the measured
-        // run. With a dump root the caller asked for the full streams.
-        let mut tel = if dump_root.is_some() {
-            let mut tel = Telemetry::new(TelemetryConfig::default());
+        // run. A recording run asked for the full streams.
+        let mut tel = ctx.telemetry();
+        if tel.is_enabled() {
             tel.begin_run("scaling");
-            tel
         } else {
-            let mut tel = Telemetry::disabled();
             tel.profile = Profiler::enabled();
-            tel
-        };
+        }
 
         let run = BeaconingRun {
             warmup: params.pcb_lifetime,
@@ -142,12 +111,6 @@ pub fn run_scaling_in(
         let started = std::time::Instant::now();
         let out = run_beaconing(&world.core, &cfg, &run, &mut tel).outcome;
         let wall = started.elapsed();
-
-        if let Some(root) = dump_root {
-            let dir = root.join(format!("threads-{threads}"));
-            tel.export_jsonl(&dir)
-                .unwrap_or_else(|e| panic!("export scaling telemetry to {dir:?}: {e}"));
-        }
 
         let phase_ms = |p: &str| {
             tel.profile
@@ -168,6 +131,7 @@ pub fn run_scaling_in(
             total_bytes: out.total_bytes(),
             events,
         });
+        ctx.keep(format!("threads-{threads}"), tel);
     }
 
     // Speedup is relative to the measured single-thread row when present,
@@ -198,10 +162,14 @@ pub fn run_scaling_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::ExperimentScale;
 
     #[test]
     fn scaling_tiny_outcomes_are_thread_invariant() {
-        let r = run_scaling(ExperimentScale::Tiny, &[1, 2]);
+        let r = run(&mut RunCtx {
+            thread_counts: vec![1, 2],
+            ..RunCtx::new(ExperimentScale::Tiny)
+        });
         assert_eq!(r.rows.len(), 2);
         assert!(r.outcomes_identical, "{:?}", r.rows);
         assert!(r.rows.iter().all(|row| row.beacons_delivered > 0));
@@ -214,10 +182,16 @@ mod tests {
     fn scaling_with_dump_root_exports_per_thread_dumps() {
         let root = std::env::temp_dir().join(format!("scion-scaling-dump-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
-        let r = run_scaling_with(ExperimentScale::Bench, &[1, 2], Some(&root));
+        let mut ctx = RunCtx {
+            thread_counts: vec![1, 2],
+            ..RunCtx::new(ExperimentScale::Bench).recording()
+        };
+        let r = run(&mut ctx);
         assert!(r.outcomes_identical);
         for threads in [1, 2] {
-            let dir = root.join(format!("threads-{threads}"));
+            let label = format!("threads-{threads}");
+            let dir = root.join(&label);
+            ctx.dumped(&label).export_jsonl(&dir).expect("export dump");
             for name in [
                 "metrics.jsonl",
                 "series.jsonl",
@@ -241,7 +215,7 @@ mod tests {
 
     #[test]
     fn scaling_defaults_to_standard_thread_counts() {
-        let r = run_scaling(ExperimentScale::Bench, &[]);
+        let r = run(&mut RunCtx::new(ExperimentScale::Bench));
         let counts: Vec<usize> = r.rows.iter().map(|row| row.threads).collect();
         assert_eq!(counts, DEFAULT_THREAD_COUNTS);
         assert!(r.outcomes_identical);

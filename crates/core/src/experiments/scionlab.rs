@@ -14,10 +14,9 @@ use scion_analysis::Cdf;
 use scion_beaconing::{run_beaconing, Algorithm, BeaconingConfig, BeaconingRun, DiversityParams};
 use scion_telemetry::Telemetry;
 use scion_topology::scionlab::scionlab_topology;
-use scion_types::{Duration, IfId};
 
 use crate::experiments::fig6::{run_quality_on, sample_pairs, Fig6Result};
-use crate::scale::ExperimentScale;
+use crate::experiments::RunCtx;
 
 /// The Appendix B series: baseline(5) as the measurement proxy, diversity
 /// at storage limits 5/10/15/60.
@@ -44,8 +43,8 @@ fn scionlab_series() -> Vec<(String, BeaconingConfig)> {
 
 /// Runs Figures 7/8 (quality on SCIONLab). The scale only affects the
 /// simulated duration (the topology is fixed at 21 cores).
-pub fn run_fig78(scale: ExperimentScale) -> Fig6Result {
-    let params = scale.params();
+pub fn run_fig78(ctx: &mut RunCtx) -> Fig6Result {
+    let params = ctx.params;
     let topo = scionlab_topology();
     // All ordered core pairs: 21 × 20 = 420, cheap enough everywhere.
     let pairs = sample_pairs(&topo, 420, params.seed);
@@ -71,8 +70,8 @@ pub struct Fig9Result {
 
 /// Runs Figure 9: per-interface core-beaconing bandwidth on SCIONLab
 /// (baseline algorithm, as deployed on the testbed).
-pub fn run_fig9(scale: ExperimentScale) -> Fig9Result {
-    let params = scale.params();
+pub fn run_fig9(ctx: &mut RunCtx) -> Fig9Result {
+    let params = ctx.params;
     let topo = scionlab_topology();
     let cfg = BeaconingConfig {
         storage_limit: Some(5),
@@ -107,17 +106,14 @@ pub fn run_fig9(scale: ExperimentScale) -> Fig9Result {
     }
 }
 
-/// Marker so unused-import lint does not fire for IfId (used in docs).
-#[allow(dead_code)]
-fn _doc(_: IfId, _: Duration) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::ExperimentScale;
 
     #[test]
     fn fig9_bandwidth_is_testbed_scale() {
-        let r = run_fig9(ExperimentScale::Tiny);
+        let r = run_fig9(&mut RunCtx::new(ExperimentScale::Tiny));
         assert!(!r.interface_bps.is_empty());
         // The paper's observation: the large majority of interfaces stay
         // in the single-digit KB/s range.
@@ -134,7 +130,7 @@ mod tests {
 
     #[test]
     fn fig78_diversity_with_more_storage_dominates() {
-        let r = run_fig78(ExperimentScale::Tiny);
+        let r = run_fig78(&mut RunCtx::new(ExperimentScale::Tiny));
         let get = |name: &str| -> f64 {
             r.fraction_of_optimum
                 .iter()

@@ -28,11 +28,9 @@ use scion_pathserver::workload::ZipfDestinations;
 use scion_proto::pcb::Pcb;
 use scion_proto::segment::{PathSegment, SegmentType};
 use scion_proto::wire;
-use scion_telemetry::Telemetry;
 use scion_types::{Duration, IfId, IsdAsn, SimTime};
 
-use crate::experiments::world::World;
-use crate::scale::ExperimentScale;
+use crate::experiments::RunCtx;
 
 /// A rendered Table 1 row.
 #[derive(Clone, Debug, Serialize)]
@@ -52,33 +50,16 @@ pub struct Table1Result {
     pub lookup_cache_hit_rate: f64,
 }
 
-/// Runs the Table 1 scenario at the given scale.
-pub fn run_table1(scale: ExperimentScale) -> Table1Result {
-    run_table1_telemetry(scale, &mut Telemetry::disabled())
-}
-
-/// Like [`run_table1`], recording telemetry: the two beaconing runs under
-/// their own run labels plus path-server registration/lookup counters and
-/// segment-registration traces.
-pub fn run_table1_telemetry(scale: ExperimentScale, tel: &mut Telemetry) -> Table1Result {
-    run_table1_with(scale, 1, tel)
-}
-
-/// Like [`run_table1_telemetry`], with the beaconing runs sharded over
-/// `threads` workers (every output is identical for every count).
-pub fn run_table1_with(
-    scale: ExperimentScale,
-    threads: usize,
-    tel: &mut Telemetry,
-) -> Table1Result {
-    let world = World::build(scale.params());
-    run_table1_in(&world, threads, tel)
-}
-
-/// Like [`run_table1_with`], on a pre-built world — the entry point for
-/// ingested (file-derived) topologies, which construct their world via
-/// [`World::from_internet`].
-pub fn run_table1_in(world: &World, threads: usize, tel: &mut Telemetry) -> Table1Result {
+/// Runs the Table 1 scenario on the context's world. A recording run
+/// keeps the two beaconing runs under their own run labels plus
+/// path-server registration/lookup counters and segment-registration
+/// traces; the beaconing runs are sharded over `ctx.threads` workers
+/// (every output is identical for every count).
+pub fn run(ctx: &mut RunCtx) -> Table1Result {
+    let world = ctx.world();
+    let threads = ctx.threads;
+    let mut handle = ctx.telemetry();
+    let tel = &mut handle;
     let params = world.params;
     let duration = params.sim_duration;
     let mut ledger = Ledger::new();
@@ -262,6 +243,7 @@ pub fn run_table1_in(world: &World, threads: usize, tel: &mut Telemetry) -> Tabl
         })
         .collect();
 
+    ctx.keep("", handle);
     Table1Result {
         rows,
         lookup_cache_hit_rate: hit_rate,
@@ -322,12 +304,14 @@ fn synth_down_segment(trust: &TrustStore, core: IsdAsn, leaf: IsdAsn, at: SimTim
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::ExperimentScale;
 
     #[test]
     fn table1_telemetry_counts_pathserver_activity() {
-        use scion_telemetry::{ids, Label, TelemetryConfig};
-        let mut tel = Telemetry::new(TelemetryConfig::default());
-        let r = run_table1_telemetry(ExperimentScale::Tiny, &mut tel);
+        use scion_telemetry::{ids, Label};
+        let mut ctx = RunCtx::new(ExperimentScale::Tiny).recording();
+        let r = run(&mut ctx);
+        let tel = ctx.dumped("");
         assert!(!r.rows.is_empty());
         let regs = tel.metrics.counter(ids::PS_REGISTRATIONS, Label::Global);
         let lookups = tel.metrics.counter(ids::PS_LOOKUPS, Label::Global);
@@ -341,7 +325,7 @@ mod tests {
 
     #[test]
     fn table1_tiny_matches_paper_shape() {
-        let r = run_table1(ExperimentScale::Tiny);
+        let r = run(&mut RunCtx::new(ExperimentScale::Tiny));
         let row = |name: &str| {
             r.rows
                 .iter()

@@ -1,8 +1,8 @@
 //! Experiment scaling.
 //!
 //! The paper's full-scale runs (12 000-AS BGP topology, 2 000 core ASes,
-//! six hours of beaconing, a 7 028-AS ISD) cost CPU-hours. Every runner in
-//! [`crate::experiments`] therefore takes an [`ExperimentScale`]:
+//! six hours of beaconing, a 7 028-AS ISD) cost CPU-hours. Every run in
+//! [`crate::experiments`] is therefore sized by an [`ExperimentScale`]:
 //! [`ExperimentScale::Tiny`] for unit tests, [`ExperimentScale::default`]
 //! (= `Small`) reproduces the *shape* of each result in minutes on a
 //! laptop, and [`ExperimentScale::Paper`] matches §5.1's sizes.
@@ -63,7 +63,8 @@ impl ScaleParams {
 /// Named scales.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExperimentScale {
-    /// Smallest: per-iteration budget of the Criterion benchmarks.
+    /// Smallest: sized for the unit tests that run an experiment more
+    /// than once.
     Bench,
     /// Seconds-fast; used by unit and integration tests.
     Tiny,

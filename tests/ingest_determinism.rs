@@ -8,10 +8,9 @@
 
 use std::path::PathBuf;
 
-use scion_core::experiments::{run_table1_in, World};
+use scion_core::experiments::{table1, RunCtx};
 use scion_core::ingest::{canonical_json, ingest_spec, CanonicalTopology, TopologyStats};
 use scion_core::scale::ExperimentScale;
-use scion_core::telemetry::Telemetry;
 
 fn fixture(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -111,16 +110,17 @@ fn stats_describe_the_equiv_graph() {
 #[test]
 fn ingested_topology_drives_a_full_table1_run() {
     let ingested = ingest_spec(&format!("graphml:{}", fixture("equiv.graphml")), None).unwrap();
-    let world = World::from_internet(
-        ingested.topology.to_topology(),
-        ExperimentScale::Tiny.params(),
-    );
+    let mut ctx = RunCtx {
+        source: Some(ingested),
+        ..RunCtx::new(ExperimentScale::Tiny)
+    };
+    let world = ctx.world();
     // Clamped to the fixture's actual size.
     assert_eq!(world.params.num_ases, 16);
     assert!(world.core.num_ases() <= 16);
     assert!(world.core.core_ases().count() > 0);
 
-    let r = run_table1_in(&world, 1, &mut Telemetry::disabled());
+    let r = table1::run(&mut ctx);
     assert!(!r.rows.is_empty());
     let beaconing = r
         .rows

@@ -9,15 +9,23 @@
 //! deterministic backoff jitter, the retransmit timer wheel, and the
 //! degradation leg's engineered star scenario.
 
+mod common;
+
 use std::fs;
 use std::path::PathBuf;
 
-use scion_core::experiments::run_lossy_with_rates;
-use scion_core::prelude::*;
+use scion_core::experiments::{lossy, RunCtx};
+use scion_core::scale::ExperimentScale;
+
+use common::{assert_dumps_identical, export_dump};
 
 fn dump_one_lossy_run(tag: &str) -> PathBuf {
-    let mut tel = Telemetry::new(TelemetryConfig::default());
-    let r = run_lossy_with_rates(ExperimentScale::Tiny, Some(7), &[0.05], &mut tel);
+    let mut ctx = RunCtx {
+        loss_rates: vec![0.05],
+        ..RunCtx::new(ExperimentScale::Tiny).with_seed(7).recording()
+    };
+    let r = lossy::run(&mut ctx);
+    let tel = ctx.dumped("");
     assert_eq!(r.points.len(), 1);
     let p = &r.points[0];
     assert!(p.reliable.loss.messages_lost > 0, "5% loss drops something");
@@ -25,29 +33,14 @@ fn dump_one_lossy_run(tag: &str) -> PathBuf {
     assert_eq!(p.no_retry.loss.retransmits, 0);
     assert!(r.degradation.degraded_serves > 0);
     assert!(!tel.series.is_empty(), "sampler never fired");
-
-    let dir = std::env::temp_dir().join(format!(
-        "scion-lossy-determinism-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    tel.export_jsonl(&dir).expect("export telemetry");
-    dir
+    export_dump(tel, &format!("lossy-determinism-{tag}"))
 }
 
 #[test]
 fn same_seed_lossy_runs_export_identical_dumps() {
     let a = dump_one_lossy_run("a");
     let b = dump_one_lossy_run("b");
-    for name in ["metrics.jsonl", "series.jsonl", "trace.jsonl"] {
-        let fa = fs::read(a.join(name)).unwrap();
-        let fb = fs::read(b.join(name)).unwrap();
-        assert_eq!(fa, fb, "{name} differs between same-seed lossy runs");
-    }
-    assert!(!fs::read(a.join("metrics.jsonl")).unwrap().is_empty());
-    // profile.jsonl exists but records real elapsed time, so it is
-    // exempt from byte equality.
-    assert!(a.join("profile.jsonl").exists());
+    assert_dumps_identical(&a, &b, "same-seed lossy runs", false);
     fs::remove_dir_all(&a).ok();
     fs::remove_dir_all(&b).ok();
 }

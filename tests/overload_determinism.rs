@@ -10,15 +10,22 @@
 //! hysteresis transitions, circuit-breaker state, the resolver's busy
 //! backoff, and the per-tick aggregated shed traces.
 
+mod common;
+
 use std::fs;
 use std::path::PathBuf;
 
-use scion_core::experiments::run_overload_with;
-use scion_core::prelude::*;
+use scion_core::experiments::{overload, RunCtx};
+use scion_core::scale::ExperimentScale;
+
+use common::{assert_dumps_identical, export_dump};
 
 fn dump_one_overload_run(tag: &str, threads: usize) -> PathBuf {
-    let mut tel = Telemetry::new(TelemetryConfig::default());
-    let r = run_overload_with(ExperimentScale::Tiny, Some(7), threads, &mut tel);
+    let mut ctx = RunCtx::new(ExperimentScale::Tiny)
+        .with_seed(7)
+        .with_threads(threads)
+        .recording();
+    let r = overload::run(&mut ctx);
     assert_eq!(r.points.len(), 5);
     for point in &r.points {
         assert_eq!(point.arms.len(), 3);
@@ -31,29 +38,14 @@ fn dump_one_overload_run(tag: &str, threads: usize) -> PathBuf {
             );
         }
     }
-
-    let dir = std::env::temp_dir().join(format!(
-        "scion-overload-determinism-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    tel.export_jsonl(&dir).expect("export telemetry");
-    dir
+    export_dump(ctx.dumped(""), &format!("overload-determinism-{tag}"))
 }
 
 #[test]
 fn same_seed_overload_runs_export_identical_dumps() {
     let a = dump_one_overload_run("a", 2);
     let b = dump_one_overload_run("b", 2);
-    for name in ["metrics.jsonl", "series.jsonl", "trace.jsonl"] {
-        let fa = fs::read(a.join(name)).unwrap();
-        let fb = fs::read(b.join(name)).unwrap();
-        assert_eq!(fa, fb, "{name} differs between same-seed overload runs");
-    }
-    assert!(!fs::read(a.join("metrics.jsonl")).unwrap().is_empty());
-    // profile.jsonl exists but records real elapsed time, so it is
-    // exempt from byte equality.
-    assert!(a.join("profile.jsonl").exists());
+    assert_dumps_identical(&a, &b, "same-seed overload runs", false);
     fs::remove_dir_all(&a).ok();
     fs::remove_dir_all(&b).ok();
 }
@@ -63,13 +55,8 @@ fn overload_dumps_are_identical_across_thread_counts() {
     let one = dump_one_overload_run("t1", 1);
     let two = dump_one_overload_run("t2", 2);
     let eight = dump_one_overload_run("t8", 8);
-    for name in ["metrics.jsonl", "series.jsonl", "trace.jsonl"] {
-        let f1 = fs::read(one.join(name)).unwrap();
-        let f2 = fs::read(two.join(name)).unwrap();
-        let f8 = fs::read(eight.join(name)).unwrap();
-        assert_eq!(f1, f2, "{name} differs between 1 and 2 worker threads");
-        assert_eq!(f1, f8, "{name} differs between 1 and 8 worker threads");
-    }
+    assert_dumps_identical(&one, &two, "1 vs 2 worker threads", false);
+    assert_dumps_identical(&one, &eight, "1 vs 8 worker threads", false);
     for dir in [one, two, eight] {
         fs::remove_dir_all(&dir).ok();
     }

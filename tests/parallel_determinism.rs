@@ -8,8 +8,10 @@
 //! make thread count an implementation detail invisible to every
 //! deterministic output. See `crates/beaconing/src/driver.rs`.
 
+mod common;
+
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use proptest::prelude::*;
 
@@ -21,6 +23,8 @@ use scion_core::experiments::World;
 use scion_core::prelude::*;
 use scion_core::topology::isd::{assign_isds, build_intra_isd_topology};
 use scion_core::topology::LinkIndex;
+
+use common::{assert_dumps_identical, export_dump};
 
 fn core_topology(num_ases: usize, num_core: usize, seed: u64) -> AsTopology {
     let topo = generate_internet(&GeneratorConfig::small(num_ases, seed));
@@ -47,15 +51,8 @@ fn dump(
     assert!(report.outcome.total_bytes() > 0);
     assert!(!tel.series.is_empty(), "sampler never fired");
     assert!(tel.traces.emitted() > 0, "no trace records");
-
-    let dir = std::env::temp_dir().join(format!(
-        "scion-{label}-determinism-{tag}-t{}-{}",
-        run.threads,
-        std::process::id()
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    tel.export_jsonl(&dir).expect("export telemetry");
-    (dir, report)
+    let tag = format!("{label}-determinism-{tag}-t{}", run.threads);
+    (export_dump(&tel, &tag), report)
 }
 
 fn dump_parallel_run(tag: &str, threads: usize) -> PathBuf {
@@ -144,18 +141,6 @@ fn dump_chaos_only_run(tag: &str, threads: usize) -> PathBuf {
     dir
 }
 
-fn assert_dumps_identical(reference: &Path, other: &Path, what: &str) {
-    for name in ["metrics.jsonl", "series.jsonl", "trace.jsonl"] {
-        let fa = fs::read(reference.join(name)).unwrap();
-        let fb = fs::read(other.join(name)).unwrap();
-        assert!(!fa.is_empty(), "{name} is empty");
-        assert_eq!(fa, fb, "{name} differs: {what}");
-    }
-    // profile.jsonl exists but is exempt (it records real elapsed time).
-    assert!(reference.join("profile.jsonl").exists());
-    assert!(other.join("profile.jsonl").exists());
-}
-
 fn assert_thread_count_invariant(arm: &str, dump_run: fn(&str, usize) -> PathBuf) {
     let reference = dump_run("ref", 1);
     for threads in [2, 8] {
@@ -164,6 +149,7 @@ fn assert_thread_count_invariant(arm: &str, dump_run: fn(&str, usize) -> PathBuf
             &reference,
             &other,
             &format!("{arm} threads=1 vs threads={threads}"),
+            false,
         );
         fs::remove_dir_all(&other).ok();
     }
@@ -197,7 +183,7 @@ fn thread_count_does_not_change_chaos_only_telemetry_dumps() {
 fn same_seed_same_thread_count_is_reproducible() {
     let a = dump_parallel_run("repro-a", 4);
     let b = dump_parallel_run("repro-b", 4);
-    assert_dumps_identical(&a, &b, "two identical threads=4 runs");
+    assert_dumps_identical(&a, &b, "two identical threads=4 runs", false);
     fs::remove_dir_all(&a).ok();
     fs::remove_dir_all(&b).ok();
 }

@@ -10,43 +10,37 @@
 //! the limiter's admission windows, the revocation table's TTL renewals
 //! and restorations, and the resolver's retry wheel.
 
+mod common;
+
 use std::fs;
 use std::path::PathBuf;
 
-use scion_core::experiments::run_recovery_with;
-use scion_core::prelude::*;
+use scion_core::experiments::{recovery, RunCtx};
+use scion_core::scale::ExperimentScale;
+
+use common::{assert_dumps_identical, export_dump};
 
 fn dump_one_recovery_run(tag: &str, threads: usize) -> PathBuf {
-    let mut tel = Telemetry::new(TelemetryConfig::default());
-    let r = run_recovery_with(ExperimentScale::Tiny, Some(7), threads, &mut tel);
+    let mut ctx = RunCtx::new(ExperimentScale::Tiny)
+        .with_seed(7)
+        .with_threads(threads)
+        .recording();
+    let r = recovery::run(&mut ctx);
     assert_eq!(r.arms.len(), 3);
     for arm in &r.arms {
         assert!(arm.packets_sent > 0, "{}: nothing sent", arm.name);
         assert!(arm.affected_flows > 0, "{}: fault hit nobody", arm.name);
     }
-
-    let dir = std::env::temp_dir().join(format!(
-        "scion-recovery-determinism-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    tel.export_jsonl(&dir).expect("export telemetry");
-    dir
+    export_dump(ctx.dumped(""), &format!("recovery-determinism-{tag}"))
 }
 
 #[test]
 fn same_seed_recovery_runs_export_identical_dumps() {
     let a = dump_one_recovery_run("a", 2);
     let b = dump_one_recovery_run("b", 2);
-    for name in ["metrics.jsonl", "series.jsonl", "trace.jsonl"] {
-        let fa = fs::read(a.join(name)).unwrap();
-        let fb = fs::read(b.join(name)).unwrap();
-        assert_eq!(fa, fb, "{name} differs between same-seed recovery runs");
-    }
-    assert!(!fs::read(a.join("metrics.jsonl")).unwrap().is_empty());
-    // profile.jsonl exists but records real elapsed time, so it is
-    // exempt from byte equality.
-    assert!(a.join("profile.jsonl").exists());
+    // Recovery is engine-driven with no periodic sampler: `series.jsonl`
+    // is legitimately empty.
+    assert_dumps_identical(&a, &b, "same-seed recovery runs", true);
     fs::remove_dir_all(&a).ok();
     fs::remove_dir_all(&b).ok();
 }
@@ -56,13 +50,8 @@ fn recovery_dumps_are_identical_across_thread_counts() {
     let one = dump_one_recovery_run("t1", 1);
     let two = dump_one_recovery_run("t2", 2);
     let eight = dump_one_recovery_run("t8", 8);
-    for name in ["metrics.jsonl", "series.jsonl", "trace.jsonl"] {
-        let f1 = fs::read(one.join(name)).unwrap();
-        let f2 = fs::read(two.join(name)).unwrap();
-        let f8 = fs::read(eight.join(name)).unwrap();
-        assert_eq!(f1, f2, "{name} differs between 1 and 2 worker threads");
-        assert_eq!(f1, f8, "{name} differs between 1 and 8 worker threads");
-    }
+    assert_dumps_identical(&one, &two, "1 vs 2 worker threads", true);
+    assert_dumps_identical(&one, &eight, "1 vs 8 worker threads", true);
     for dir in [one, two, eight] {
         fs::remove_dir_all(&dir).ok();
     }

@@ -7,9 +7,12 @@
 //! engine's `(time, seq)` event ordering, and the timer-driven sampler
 //! are designed to provide; see `crates/telemetry/src/metrics.rs`.
 
+mod common;
+
 use std::fs;
 use std::path::PathBuf;
 
+use common::{assert_dumps_identical, export_dump};
 use scion_core::chaos::{ChaosConfig, ChurnModel};
 use scion_core::prelude::*;
 use scion_core::topology::isd::assign_isds;
@@ -29,14 +32,7 @@ fn dump_one_run(tag: &str) -> PathBuf {
     assert!(out.total_bytes() > 0);
     assert!(!tel.series.is_empty(), "sampler never fired");
     assert!(tel.traces.emitted() > 0, "no trace records");
-
-    let dir = std::env::temp_dir().join(format!(
-        "scion-telemetry-determinism-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    tel.export_jsonl(&dir).expect("export telemetry");
-    dir
+    export_dump(&tel, &format!("telemetry-determinism-{tag}"))
 }
 
 fn dump_one_churned_run(tag: &str) -> PathBuf {
@@ -72,30 +68,14 @@ fn dump_one_churned_run(tag: &str) -> PathBuf {
     assert!(rep.outcome.total_bytes() > 0);
     assert!(!report.probes.is_empty(), "probes never fired");
     assert!(report.fault_events_applied > 0, "churn never applied");
-
-    let dir = std::env::temp_dir().join(format!(
-        "scion-telemetry-churn-determinism-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    tel.export_jsonl(&dir).expect("export telemetry");
-    dir
+    export_dump(&tel, &format!("telemetry-churn-determinism-{tag}"))
 }
 
 #[test]
 fn same_seed_runs_export_identical_dumps() {
     let a = dump_one_run("a");
     let b = dump_one_run("b");
-    for name in ["metrics.jsonl", "series.jsonl", "trace.jsonl"] {
-        let fa = fs::read(a.join(name)).unwrap();
-        let fb = fs::read(b.join(name)).unwrap();
-        assert!(!fa.is_empty(), "{name} is empty");
-        assert_eq!(fa, fb, "{name} differs between same-seed runs");
-    }
-    // profile.jsonl exists in both dumps but is exempt from the
-    // byte-equality guarantee (it records real elapsed time).
-    assert!(a.join("profile.jsonl").exists());
-    assert!(b.join("profile.jsonl").exists());
+    assert_dumps_identical(&a, &b, "same-seed runs", false);
     fs::remove_dir_all(&a).ok();
     fs::remove_dir_all(&b).ok();
 }
@@ -107,12 +87,7 @@ fn same_seed_churned_runs_export_identical_dumps() {
     // guarantee end to end.
     let a = dump_one_churned_run("a");
     let b = dump_one_churned_run("b");
-    for name in ["metrics.jsonl", "series.jsonl", "trace.jsonl"] {
-        let fa = fs::read(a.join(name)).unwrap();
-        let fb = fs::read(b.join(name)).unwrap();
-        assert!(!fa.is_empty(), "{name} is empty");
-        assert_eq!(fa, fb, "{name} differs between same-seed churned runs");
-    }
+    assert_dumps_identical(&a, &b, "same-seed churned runs", false);
     fs::remove_dir_all(&a).ok();
     fs::remove_dir_all(&b).ok();
 }
