@@ -65,20 +65,10 @@ pub struct InsertOutcome {
     pub evicted: Option<EvictedBeacon>,
 }
 
-/// A stored beacon with its interned path key: the key is computed once
-/// at admission and reused by every subsequent duplicate check, instead of
-/// being re-derived (an `O(path length)` allocation) for every stored
-/// entry on every insert.
-#[derive(Clone, Debug)]
-struct Entry {
-    key: PathKey,
-    beacon: StoredBeacon,
-}
-
 /// Per-origin beacon storage.
 #[derive(Clone, Debug, Default)]
 pub struct BeaconStore {
-    by_origin: HashMap<IsdAsn, Vec<Entry>>,
+    by_origin: HashMap<IsdAsn, Vec<StoredBeacon>>,
     limit: Option<usize>,
 }
 
@@ -103,14 +93,16 @@ impl BeaconStore {
     /// Like [`BeaconStore::insert`], but also reports which entry the
     /// storage limit evicted (if any) so callers can trace evictions.
     pub fn insert_outcome(&mut self, beacon: StoredBeacon, now: SimTime) -> InsertOutcome {
-        let origin = beacon.pcb.origin;
-        let key = beacon.pcb.path_key();
-        let entries = self.by_origin.entry(origin).or_default();
+        let entries = self.by_origin.entry(beacon.pcb.origin).or_default();
 
-        if let Some(existing) = entries.iter_mut().find(|e| e.key == key) {
-            let changed = beacon.pcb.initiated_at > existing.beacon.pcb.initiated_at;
+        // Same path: the two beacons' hops compared where they lie.
+        if let Some(existing) = entries
+            .iter_mut()
+            .find(|e| e.pcb.path_hops().eq(beacon.pcb.path_hops()))
+        {
+            let changed = beacon.pcb.initiated_at > existing.pcb.initiated_at;
             if changed {
-                existing.beacon = beacon;
+                *existing = beacon;
             }
             return InsertOutcome {
                 changed,
@@ -118,7 +110,7 @@ impl BeaconStore {
             };
         }
 
-        entries.push(Entry { key, beacon });
+        entries.push(beacon);
         let mut evicted = None;
         if let Some(limit) = self.limit {
             if entries.len() > limit {
@@ -133,12 +125,12 @@ impl BeaconStore {
 
     /// Evicts one entry: an expired one if any, otherwise the worst
     /// (longest path, then earliest expiry, then oldest receipt).
-    fn evict(entries: &mut Vec<Entry>, now: SimTime) -> EvictedBeacon {
-        if let Some(pos) = entries.iter().position(|e| e.beacon.pcb.is_expired(now)) {
+    fn evict(entries: &mut Vec<StoredBeacon>, now: SimTime) -> EvictedBeacon {
+        if let Some(pos) = entries.iter().position(|e| e.pcb.is_expired(now)) {
             let gone = entries.remove(pos);
             return EvictedBeacon {
-                origin: gone.beacon.pcb.origin,
-                hops: gone.beacon.pcb.hop_count(),
+                origin: gone.pcb.origin,
+                hops: gone.pcb.hop_count(),
                 expired: true,
             };
         }
@@ -147,9 +139,9 @@ impl BeaconStore {
             .enumerate()
             .max_by_key(|(i, e)| {
                 (
-                    e.beacon.pcb.hop_count(),
-                    std::cmp::Reverse(e.beacon.pcb.expires_at),
-                    std::cmp::Reverse(e.beacon.received_at),
+                    e.pcb.hop_count(),
+                    std::cmp::Reverse(e.pcb.expires_at),
+                    std::cmp::Reverse(e.received_at),
                     *i,
                 )
             })
@@ -157,8 +149,8 @@ impl BeaconStore {
             .expect("non-empty");
         let gone = entries.remove(worst);
         EvictedBeacon {
-            origin: gone.beacon.pcb.origin,
-            hops: gone.beacon.pcb.hop_count(),
+            origin: gone.pcb.origin,
+            hops: gone.pcb.hop_count(),
             expired: false,
         }
     }
@@ -166,7 +158,7 @@ impl BeaconStore {
     /// Drops all expired beacons (run at the start of each interval).
     pub fn purge_expired(&mut self, now: SimTime) {
         for entries in self.by_origin.values_mut() {
-            entries.retain(|e| !e.beacon.pcb.is_expired(now));
+            entries.retain(|e| !e.pcb.is_expired(now));
         }
         self.by_origin.retain(|_, v| !v.is_empty());
     }
@@ -175,12 +167,7 @@ impl BeaconStore {
     pub fn beacons_of(&self, origin: IsdAsn, now: SimTime) -> Vec<&StoredBeacon> {
         self.by_origin
             .get(&origin)
-            .map(|v| {
-                v.iter()
-                    .filter(|e| !e.beacon.pcb.is_expired(now))
-                    .map(|e| &e.beacon)
-                    .collect()
-            })
+            .map(|v| v.iter().filter(|e| !e.pcb.is_expired(now)).collect())
             .unwrap_or_default()
     }
 

@@ -67,11 +67,45 @@ impl Signature {
     pub const WIRE_SIZE: usize = ECDSA_P384_SIGNATURE;
 }
 
+/// A signer's hash state after the `"scion-sim-signature" ‖ public key ‖
+/// domain` prefix every signature starts with: 40 bytes, `Copy`. Signing and
+/// verifying resume from it, so a key held for many payloads absorbs its
+/// 76-byte prefix once instead of once per payload.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Midstate(Hasher);
+
+impl Midstate {
+    /// Absorbs the prefix of signatures by `public` under `domain`.
+    pub(crate) fn new(public: &PublicKey, domain: SignDomain) -> Midstate {
+        let mut h = Hasher::new();
+        h.update(b"scion-sim-signature");
+        h.update(&public.0);
+        h.update_u64(domain.tag());
+        Midstate(h)
+    }
+
+    /// The signature over `payload`.
+    pub(crate) fn sign(mut self, payload: &[u8]) -> Signature {
+        self.0.update(payload);
+        let mut sig = [0u8; ECDSA_P384_SIGNATURE];
+        self.0.finalize_into(&mut sig);
+        Signature(sig)
+    }
+
+    /// Whether `sig` is the signature over `payload`.
+    pub(crate) fn verify(self, payload: &[u8], sig: &Signature) -> bool {
+        self.sign(payload) == *sig
+    }
+}
+
 /// A signing key pair. Key material is derived deterministically from a
 /// seed so that simulations are reproducible.
 #[derive(Clone, Debug)]
 pub struct KeyPair {
     public: PublicKey,
+    /// Kept for [`SignDomain::PcbAsEntry`] alone, the one domain signed per
+    /// beacon rather than per bootstrap.
+    pcb_entry: Midstate,
 }
 
 impl KeyPair {
@@ -83,8 +117,10 @@ impl KeyPair {
         let mut public = [0u8; ECDSA_P384_PUBKEY_COMPRESSED];
         h.finalize_into(&mut public);
         public[0] = 0x02; // SEC1 compressed-point tag, for verisimilitude.
+        let public = PublicKey(public);
         KeyPair {
-            public: PublicKey(public),
+            public,
+            pcb_entry: Midstate::new(&public, SignDomain::PcbAsEntry),
         }
     }
 
@@ -95,24 +131,17 @@ impl KeyPair {
 
     /// Signs `payload` under `domain`.
     pub fn sign(&self, domain: SignDomain, payload: &[u8]) -> Signature {
-        sign_with(self.public, domain, payload)
+        match domain {
+            SignDomain::PcbAsEntry => self.pcb_entry,
+            _ => Midstate::new(&self.public, domain),
+        }
+        .sign(payload)
     }
-}
-
-fn sign_with(public: PublicKey, domain: SignDomain, payload: &[u8]) -> Signature {
-    let mut h = Hasher::new();
-    h.update(b"scion-sim-signature");
-    h.update(&public.0);
-    h.update_u64(domain.tag());
-    h.update(payload);
-    let mut sig = [0u8; ECDSA_P384_SIGNATURE];
-    h.finalize_into(&mut sig);
-    Signature(sig)
 }
 
 /// Verifies `sig` over `payload` under `public` and `domain`.
 pub fn verify(public: PublicKey, domain: SignDomain, payload: &[u8], sig: &Signature) -> bool {
-    sign_with(public, domain, payload) == *sig
+    Midstate::new(&public, domain).verify(payload, sig)
 }
 
 #[cfg(test)]

@@ -21,6 +21,7 @@ use scion_crypto::trc::{TrustStore, VerifyError};
 use scion_types::{Duration, IfId, IsdAsn, LinkEnd, SimTime};
 
 use crate::hopfield::HopField;
+use crate::segment::forward_hop;
 use crate::wire;
 
 /// A peering-link entry attached to an AS entry (paper §2.2: "Non-core ASes
@@ -61,19 +62,6 @@ pub struct AsEntry {
 /// exactly that notion.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub struct PathKey(pub Vec<(IsdAsn, IfId, IfId)>);
-
-impl PathKey {
-    /// Extends the key with an additional egress hop at the end — used to
-    /// identify the *candidate* path "stored PCB + egress interface" before
-    /// actually building the extended PCB (Algorithm 1's `p_new`).
-    pub fn with_egress(&self, egress: IfId) -> PathKey {
-        let mut v = self.0.clone();
-        if let Some(last) = v.last_mut() {
-            last.2 = egress;
-        }
-        PathKey(v)
-    }
-}
 
 /// Validation failures for received PCBs.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -151,12 +139,12 @@ impl Pcb {
             entries: Vec::new(),
         };
         let signature = pcb.sign_next_entry(origin, &hop, &[], trust);
-        pcb.entries.push(AsEntry {
+        pcb.entries = vec![AsEntry {
             ia: origin,
             hop,
             peers: Vec::new(),
             signature,
-        });
+        }];
         pcb
     }
 
@@ -172,49 +160,54 @@ impl Pcb {
     ) -> Pcb {
         assert!(!ingress.is_none(), "extension requires a real ingress");
         let hop = HopField::new(ingress, egress, self.expires_at, forwarding_key(ia));
-        let mut pcb = self.clone();
-        let signature = pcb.sign_next_entry(ia, &hop, &peers, trust);
-        pcb.entries.push(AsEntry {
+        let signature = self.sign_next_entry(ia, &hop, &peers, trust);
+        // A beacon is extended once per egress it is propagated on and then
+        // only read: size the copy for the one entry it gains.
+        let mut entries = Vec::with_capacity(self.entries.len() + 1);
+        entries.extend_from_slice(&self.entries);
+        entries.push(AsEntry {
             ia,
             hop,
             peers,
             signature,
         });
-        pcb
+        Pcb {
+            origin: self.origin,
+            initiated_at: self.initiated_at,
+            expires_at: self.expires_at,
+            segment_id: self.segment_id,
+            entries,
+        }
     }
 
-    /// The byte string signed by the `entries.len()`-th entry: everything
-    /// accumulated so far plus the new entry's unsigned fields. Hash
-    /// chaining over the serialized prefix mirrors real SCION, where each
-    /// signature covers all preceding entries.
-    fn signed_payload(&self, ia: IsdAsn, hop: &HopField, peers: &[PeerEntry]) -> Vec<u8> {
-        self.signed_payload_over(&self.entries, ia, hop, peers)
+    /// Serialized size of the beacon header.
+    const HEADER_LEN: usize = 2 + 8 + 8 + 8 + 4;
+
+    /// Serialized size of an entry's unsigned fields with `peers` peer
+    /// entries (see [`Pcb::push_entry_bytes`]).
+    const fn unsigned_len(peers: usize) -> usize {
+        (2 + 8 + 2 + 2 + 8 + 6) + peers * (2 + 8 + 2 + 6)
     }
 
-    /// The signed byte string with an explicit entry prefix: what
-    /// [`Pcb::signed_payload`] produces for a beacon whose `entries` are
-    /// exactly `prefix`. Taking the prefix as a slice lets validation
-    /// replay the construction without materializing (and deep-cloning
-    /// entries into) a prefix beacon per hop.
-    fn signed_payload_over(
-        &self,
-        prefix: &[AsEntry],
-        ia: IsdAsn,
-        hop: &HopField,
-        peers: &[PeerEntry],
-    ) -> Vec<u8> {
-        let mut p = Vec::with_capacity(128 + prefix.len() * 32);
+    /// Length of the byte string signed by the entry that follows `prefix`
+    /// and advertises `peers` peer entries: the header, every entry of
+    /// `prefix` with its signature, and the new entry's unsigned fields.
+    /// Hash chaining over the serialized prefix mirrors real SCION, where
+    /// each signature covers all preceding entries.
+    fn payload_len(prefix: &[AsEntry], peers: usize) -> usize {
+        let signed: usize = prefix
+            .iter()
+            .map(|e| Self::unsigned_len(e.peers.len()) + Signature::WIRE_SIZE)
+            .sum();
+        Self::HEADER_LEN + signed + Self::unsigned_len(peers)
+    }
+
+    fn push_header(&self, p: &mut Vec<u8>) {
         p.extend_from_slice(&self.origin.isd.0.to_le_bytes());
         p.extend_from_slice(&self.origin.asn.value().to_le_bytes());
         p.extend_from_slice(&self.initiated_at.as_micros().to_le_bytes());
         p.extend_from_slice(&self.expires_at.as_micros().to_le_bytes());
         p.extend_from_slice(&self.segment_id.to_le_bytes());
-        for e in prefix {
-            Self::push_entry_bytes(&mut p, e.ia, &e.hop, &e.peers);
-            p.extend_from_slice(&e.signature.0);
-        }
-        Self::push_entry_bytes(&mut p, ia, hop, peers);
-        p
     }
 
     fn push_entry_bytes(p: &mut Vec<u8>, ia: IsdAsn, hop: &HopField, peers: &[PeerEntry]) {
@@ -232,6 +225,7 @@ impl Pcb {
         }
     }
 
+    /// Signs the entry that would follow `self.entries`.
     fn sign_next_entry(
         &self,
         ia: IsdAsn,
@@ -239,46 +233,57 @@ impl Pcb {
         peers: &[PeerEntry],
         trust: &TrustStore,
     ) -> Signature {
-        let payload = self.signed_payload(ia, hop, peers);
+        let mut p = Vec::with_capacity(Self::payload_len(&self.entries, peers.len()));
+        self.push_header(&mut p);
+        for e in &self.entries {
+            Self::push_entry_bytes(&mut p, e.ia, &e.hop, &e.peers);
+            p.extend_from_slice(&e.signature.0);
+        }
+        Self::push_entry_bytes(&mut p, ia, hop, peers);
+        debug_assert_eq!(p.len(), p.capacity());
         trust
             .key_of(ia)
             .unwrap_or_else(|| panic!("no signing key for {ia}"))
-            .sign(SignDomain::PcbAsEntry, &payload)
+            .sign(SignDomain::PcbAsEntry, &p)
     }
 
     /// Full validation of a received beacon at time `now`: liveness,
     /// structural sanity, loop freedom, and the signature chain
     /// (each entry verified against its AS certificate and ISD TRC).
     pub fn validate(&self, trust: &TrustStore, now: SimTime) -> Result<(), PcbError> {
-        if self.entries.is_empty() {
+        let Some((last, rest)) = self.entries.split_last() else {
             return Err(PcbError::Empty);
-        }
+        };
         if now >= self.expires_at || self.initiated_at > now {
             return Err(PcbError::Expired);
         }
         if !self.entries[0].hop.ingress.is_none() {
             return Err(PcbError::BadOriginEntry);
         }
-        let mut seen = Vec::with_capacity(self.entries.len());
         for (i, e) in self.entries.iter().enumerate() {
-            if seen.contains(&e.ia) {
+            if self.entries[..i].iter().any(|earlier| earlier.ia == e.ia) {
                 return Err(PcbError::LoopDetected(e.ia));
             }
-            seen.push(e.ia);
             if i + 1 < self.entries.len() && e.hop.egress.is_none() {
                 return Err(PcbError::MissingEgress);
             }
         }
-        // Verify the signature chain by replaying the construction. Each
-        // hop's payload is rebuilt over the entry *slice* before it — no
-        // prefix beacon, no per-hop entry clones (validation is the hot
-        // path of every delivery when `verify_on_receive` is set).
+        // Verify the signature chain by replaying the construction in one
+        // buffer, sized for the last entry's payload: what entry `i` signed
+        // is the buffer once its unsigned fields are in, and its signature
+        // joins the buffer before entry `i + 1` does.
+        let mut p = Vec::with_capacity(Self::payload_len(rest, last.peers.len()));
+        self.push_header(&mut p);
         for (i, e) in self.entries.iter().enumerate() {
-            let payload = self.signed_payload_over(&self.entries[..i], e.ia, &e.hop, &e.peers);
+            if i > 0 {
+                p.extend_from_slice(&self.entries[i - 1].signature.0);
+            }
+            Self::push_entry_bytes(&mut p, e.ia, &e.hop, &e.peers);
             trust
-                .verify_chain(e.ia, SignDomain::PcbAsEntry, &payload, &e.signature, now)
+                .verify_chain(e.ia, SignDomain::PcbAsEntry, &p, &e.signature, now)
                 .map_err(|ve| PcbError::Chain(i, ve))?;
         }
+        debug_assert_eq!(p.len(), p.capacity());
         Ok(())
     }
 
@@ -299,12 +304,14 @@ impl Pcb {
 
     /// The path identity key (see [`PathKey`]).
     pub fn path_key(&self) -> PathKey {
-        PathKey(
-            self.entries
-                .iter()
-                .map(|e| (e.ia, e.hop.ingress, e.hop.egress))
-                .collect(),
-        )
+        PathKey(self.path_hops().collect())
+    }
+
+    /// What [`Pcb::path_key`] collects, read off the entries instead: two
+    /// beacons follow the same path when these are equal, and comparing
+    /// them orders beacons as their keys would.
+    pub fn path_hops(&self) -> impl ExactSizeIterator<Item = (IsdAsn, IfId, IfId)> + Clone + '_ {
+        self.entries.iter().map(forward_hop)
     }
 
     /// The fully-specified interior links of the beacon: for consecutive
@@ -489,16 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn path_key_with_egress_sets_last_hop() {
-        let tr = trust();
-        let pcb = Pcb::originate(ia(1, 1), IfId(5), t(0), Duration::from_hours(6), 0, &tr);
-        let k = pcb.path_key().with_egress(IfId(9));
-        assert_eq!(k.0.last().unwrap().2, IfId(9));
-        // Original key untouched.
-        assert_eq!(pcb.path_key().0.last().unwrap().2, IfId(5));
-    }
-
-    #[test]
     fn interior_links_and_dangling_egress() {
         let tr = trust();
         let pcb = sample_pcb(&tr);
@@ -530,6 +527,427 @@ mod tests {
         assert!(two.wire_size() > one.wire_size());
         // Each extra hop adds at least a signature's worth of bytes.
         assert!(two.wire_size() - one.wire_size() >= 96);
+    }
+
+    /// `originate`, `extend` and `validate` as they were before they did
+    /// each piece of work once: the signed prefix rebuilt per entry into a
+    /// fresh `Vec`, `entries` cloned and then pushed, the signer's
+    /// certificate walked to its TRC per entry, and every signature
+    /// absorbed from the first byte of its prefix. Kept as what the
+    /// single-pass ones are compared against.
+    mod reference {
+        use super::super::*;
+        use scion_crypto::hash::Hasher;
+        use scion_crypto::sim::PublicKey;
+
+        /// `SignDomain::tag` (private to `scion-crypto`) of the two domains
+        /// a beacon's chain touches.
+        const PCB_AS_ENTRY: u64 = 1;
+        const AS_CERTIFICATE: u64 = 2;
+
+        fn sign_with(public: PublicKey, domain_tag: u64, payload: &[u8]) -> Signature {
+            let mut h = Hasher::new();
+            h.update(b"scion-sim-signature");
+            h.update(&public.0);
+            h.update_u64(domain_tag);
+            h.update(payload);
+            let mut sig = [0u8; 96];
+            h.finalize_into(&mut sig);
+            Signature(sig)
+        }
+
+        fn verify(public: PublicKey, domain_tag: u64, payload: &[u8], sig: &Signature) -> bool {
+            sign_with(public, domain_tag, payload) == *sig
+        }
+
+        fn cert_signed_payload(
+            subject: IsdAsn,
+            subject_key: &PublicKey,
+            not_after: SimTime,
+        ) -> Vec<u8> {
+            let mut p = Vec::with_capacity(64);
+            p.extend_from_slice(&subject.isd.0.to_le_bytes());
+            p.extend_from_slice(&subject.asn.value().to_le_bytes());
+            p.extend_from_slice(&subject_key.0);
+            p.extend_from_slice(&not_after.as_micros().to_le_bytes());
+            p
+        }
+
+        fn verify_chain(
+            trust: &TrustStore,
+            signer: IsdAsn,
+            payload: &[u8],
+            sig: &Signature,
+            now: SimTime,
+        ) -> Result<(), VerifyError> {
+            let cert = trust
+                .cert_of(signer)
+                .ok_or(VerifyError::UnknownAs(signer))?;
+            if now > cert.not_after {
+                return Err(VerifyError::CertificateExpired);
+            }
+            let trc = trust
+                .trc_of(signer.isd)
+                .ok_or(VerifyError::UnknownIsd(signer.isd))?;
+            // Issuer must be a TRC root, and the cert signature must verify
+            // under the issuer's root key.
+            let issuer_key = trc
+                .roots
+                .iter()
+                .find(|&&(r, _)| r == cert.issuer)
+                .map(|&(_, k)| k)
+                .ok_or(VerifyError::IssuerNotInTrc)?;
+            let cert_payload = cert_signed_payload(cert.subject, &cert.subject_key, cert.not_after);
+            if !verify(issuer_key, AS_CERTIFICATE, &cert_payload, &cert.signature) {
+                return Err(VerifyError::BadCertificateSignature);
+            }
+            if !verify(cert.subject_key, PCB_AS_ENTRY, payload, sig) {
+                return Err(VerifyError::BadSignature);
+            }
+            Ok(())
+        }
+
+        fn signed_payload_over(
+            pcb: &Pcb,
+            prefix: &[AsEntry],
+            ia: IsdAsn,
+            hop: &HopField,
+            peers: &[PeerEntry],
+        ) -> Vec<u8> {
+            let mut p = Vec::with_capacity(128 + prefix.len() * 32);
+            p.extend_from_slice(&pcb.origin.isd.0.to_le_bytes());
+            p.extend_from_slice(&pcb.origin.asn.value().to_le_bytes());
+            p.extend_from_slice(&pcb.initiated_at.as_micros().to_le_bytes());
+            p.extend_from_slice(&pcb.expires_at.as_micros().to_le_bytes());
+            p.extend_from_slice(&pcb.segment_id.to_le_bytes());
+            for e in prefix {
+                push_entry_bytes(&mut p, e.ia, &e.hop, &e.peers);
+                p.extend_from_slice(&e.signature.0);
+            }
+            push_entry_bytes(&mut p, ia, hop, peers);
+            p
+        }
+
+        fn push_entry_bytes(p: &mut Vec<u8>, ia: IsdAsn, hop: &HopField, peers: &[PeerEntry]) {
+            p.extend_from_slice(&ia.isd.0.to_le_bytes());
+            p.extend_from_slice(&ia.asn.value().to_le_bytes());
+            p.extend_from_slice(&hop.ingress.0.to_le_bytes());
+            p.extend_from_slice(&hop.egress.0.to_le_bytes());
+            p.extend_from_slice(&hop.expiry.as_micros().to_le_bytes());
+            p.extend_from_slice(&hop.mac);
+            for pe in peers {
+                p.extend_from_slice(&pe.peer.isd.0.to_le_bytes());
+                p.extend_from_slice(&pe.peer.asn.value().to_le_bytes());
+                p.extend_from_slice(&pe.peer_if.0.to_le_bytes());
+                p.extend_from_slice(&pe.hop.mac);
+            }
+        }
+
+        fn sign_next_entry(
+            pcb: &Pcb,
+            ia: IsdAsn,
+            hop: &HopField,
+            peers: &[PeerEntry],
+            trust: &TrustStore,
+        ) -> Signature {
+            let payload = signed_payload_over(pcb, &pcb.entries, ia, hop, peers);
+            let key = trust
+                .key_of(ia)
+                .unwrap_or_else(|| panic!("no signing key for {ia}"));
+            sign_with(key.public(), PCB_AS_ENTRY, &payload)
+        }
+
+        pub fn originate(
+            origin: IsdAsn,
+            egress: IfId,
+            initiated_at: SimTime,
+            lifetime: Duration,
+            segment_id: u32,
+            trust: &TrustStore,
+        ) -> Pcb {
+            let expires_at = initiated_at + lifetime;
+            let hop = HopField::new(IfId::NONE, egress, expires_at, forwarding_key(origin));
+            let mut pcb = Pcb {
+                origin,
+                initiated_at,
+                expires_at,
+                segment_id,
+                entries: Vec::new(),
+            };
+            let signature = sign_next_entry(&pcb, origin, &hop, &[], trust);
+            pcb.entries.push(AsEntry {
+                ia: origin,
+                hop,
+                peers: Vec::new(),
+                signature,
+            });
+            pcb
+        }
+
+        pub fn extend(
+            pcb: &Pcb,
+            ia: IsdAsn,
+            ingress: IfId,
+            egress: IfId,
+            peers: Vec<PeerEntry>,
+            trust: &TrustStore,
+        ) -> Pcb {
+            assert!(!ingress.is_none(), "extension requires a real ingress");
+            let hop = HopField::new(ingress, egress, pcb.expires_at, forwarding_key(ia));
+            let mut pcb = pcb.clone();
+            let signature = sign_next_entry(&pcb, ia, &hop, &peers, trust);
+            pcb.entries.push(AsEntry {
+                ia,
+                hop,
+                peers,
+                signature,
+            });
+            pcb
+        }
+
+        pub fn validate(pcb: &Pcb, trust: &TrustStore, now: SimTime) -> Result<(), PcbError> {
+            if pcb.entries.is_empty() {
+                return Err(PcbError::Empty);
+            }
+            if now >= pcb.expires_at || pcb.initiated_at > now {
+                return Err(PcbError::Expired);
+            }
+            if !pcb.entries[0].hop.ingress.is_none() {
+                return Err(PcbError::BadOriginEntry);
+            }
+            let mut seen = Vec::with_capacity(pcb.entries.len());
+            for (i, e) in pcb.entries.iter().enumerate() {
+                if seen.contains(&e.ia) {
+                    return Err(PcbError::LoopDetected(e.ia));
+                }
+                seen.push(e.ia);
+                if i + 1 < pcb.entries.len() && e.hop.egress.is_none() {
+                    return Err(PcbError::MissingEgress);
+                }
+            }
+            for (i, e) in pcb.entries.iter().enumerate() {
+                let payload = signed_payload_over(pcb, &pcb.entries[..i], e.ia, &e.hop, &e.peers);
+                verify_chain(trust, e.ia, &payload, &e.signature, now)
+                    .map_err(|ve| PcbError::Chain(i, ve))?;
+            }
+            Ok(())
+        }
+    }
+
+    /// The differential tests' world: eight ASes whose certificates lapse
+    /// two hours in, so a six-hour beacon can outlive them.
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        const POOL: usize = 8;
+
+        fn pool(i: usize) -> IsdAsn {
+            [
+                ia(1, 1),
+                ia(1, 2),
+                ia(1, 3),
+                ia(1, 4),
+                ia(1, 5),
+                ia(2, 1),
+                ia(2, 2),
+                ia(2, 3),
+            ][i % POOL]
+        }
+
+        fn trust() -> TrustStore {
+            TrustStore::bootstrap(
+                (0..POOL).map(|i| (pool(i), matches!(i, 0 | 1 | 5))),
+                t(2 * 3600),
+            )
+        }
+
+        /// One hop as drawn: `(ingress, egress, peers as (AS, local if,
+        /// remote if))`; which AS it is follows from its position.
+        type Hop = (u16, u16, Vec<(usize, u16, u16)>);
+
+        fn hops() -> impl Strategy<Value = Vec<Hop>> {
+            let peers = proptest::collection::vec((0usize..POOL, 1u16..9, 1u16..9), 0..4);
+            proptest::collection::vec((1u16..9, 1u16..9, peers), 1..7)
+        }
+
+        fn peer(me: IsdAsn, &(peer, local_if, peer_if): &(usize, u16, u16)) -> PeerEntry {
+            PeerEntry {
+                peer: pool(peer),
+                peer_if: IfId(peer_if),
+                hop: HopField::new(IfId(local_if), IfId::NONE, t(3600), forwarding_key(me)),
+            }
+        }
+
+        /// The loop-free chain `hops` describes, starting at `pool(first)`,
+        /// built by the current code and by the reference; the two must be
+        /// the same beacon, signatures included, at every step.
+        fn build(tr: &TrustStore, first: usize, hops: &[Hop]) -> Pcb {
+            let lifetime = Duration::from_hours(6);
+            let (_, egress, _) = hops[0];
+            let mut pcb = Pcb::originate(pool(first), IfId(egress), t(100), lifetime, 7, tr);
+            let mut old = reference::originate(pool(first), IfId(egress), t(100), lifetime, 7, tr);
+            assert_eq!(pcb, old);
+            for (i, (ingress, egress, peers)) in hops.iter().enumerate().skip(1) {
+                let me = pool(first + i);
+                let peers: Vec<PeerEntry> = peers.iter().map(|p| peer(me, p)).collect();
+                let (ingress, egress) = (IfId(*ingress), IfId(*egress));
+                old = reference::extend(&pcb, me, ingress, egress, peers.clone(), tr);
+                pcb = pcb.extend(me, ingress, egress, peers, tr);
+                assert_eq!(pcb, old);
+                assert_eq!(pcb.entries.capacity(), pcb.entries.len());
+            }
+            pcb
+        }
+
+        /// How many ways [`mutate`] knows to damage a beacon or its clock.
+        const MUTATIONS: u8 = 21;
+
+        /// Damages `pcb` (or moves `now`) in the `kind`-th way, `a` and `b`
+        /// choosing where. Kind 0 leaves both alone.
+        fn mutate(pcb: &mut Pcb, now: &mut SimTime, kind: u8, a: usize, b: usize) {
+            let n = pcb.entries.len();
+            let (i, j) = (a % n, b % n);
+            let stranger = PeerEntry {
+                peer: pool(b),
+                peer_if: IfId(3),
+                hop: HopField::new(IfId(4), IfId::NONE, t(3600), forwarding_key(pool(a))),
+            };
+            match kind {
+                0 => {}
+                1 => pcb.origin = pool(b),
+                2 => pcb.initiated_at = t(b as u64 % 200),
+                3 => pcb.expires_at = pcb.expires_at + Duration::from_secs(1),
+                4 => pcb.segment_id ^= 1 << (b % 32),
+                // An AS of the pool (often one already on the path), or one
+                // nobody certified.
+                5 => {
+                    pcb.entries[i].ia = match b % 3 {
+                        0 => ia(9, 9),
+                        _ => pool(b),
+                    }
+                }
+                6 => pcb.entries[i].hop.ingress = IfId(b as u16 % 12),
+                7 => pcb.entries[i].hop.egress = IfId(b as u16 % 12),
+                8 => pcb.entries[i].hop.expiry = t(b as u64),
+                9 => pcb.entries[i].hop.mac[b % 6] ^= 0x10,
+                10 => pcb.entries[i].peers.push(stranger),
+                11 => {
+                    pcb.entries[i].peers.pop();
+                }
+                12 => match pcb.entries[i].peers.first_mut() {
+                    Some(p) => p.peer_if = IfId(p.peer_if.0 + 1),
+                    None => pcb.entries[i].peers.push(stranger),
+                },
+                13 => pcb.entries[i].signature.0[b % 96] ^= 1 << (a % 8),
+                14 => pcb.entries.swap(i, j),
+                15 => {
+                    pcb.entries.pop();
+                }
+                16 => pcb.entries[i].ia = pcb.entries[j].ia,
+                17 => *now = t(b as u64 % 100),
+                18 => *now = pcb.expires_at,
+                // Past the certificates' `not_after`, inside the beacon's
+                // lifetime.
+                19 => *now = t(2 * 3600 + 1 + b as u64 % 3600),
+                20 => *now = t(2 * 3600),
+                _ => unreachable!("MUTATIONS counts the arms"),
+            }
+        }
+
+        fn verdicts_agree(pcb: &Pcb, tr: &TrustStore, now: SimTime) -> Result<(), PcbError> {
+            let verdict = pcb.validate(tr, now);
+            assert_eq!(
+                verdict,
+                reference::validate(pcb, tr, now),
+                "{pcb:?} at {now:?}"
+            );
+            verdict
+        }
+
+        /// Every mutation, at every position of one beacon that has peers:
+        /// the verdicts agree, and between them they reach every error the
+        /// beacon's own fields can cause.
+        #[test]
+        fn every_mutation_everywhere_matches_the_reference() {
+            let tr = trust();
+            let hops: Vec<Hop> = vec![
+                (1, 5, vec![]),
+                (1, 2, vec![(3, 8, 4), (6, 9, 6)]),
+                (3, 4, vec![]),
+                (7, 9, vec![(0, 2, 2)]),
+            ];
+            let pristine = build(&tr, 2, &hops);
+            let mut reached = std::collections::BTreeSet::new();
+            for kind in 0..MUTATIONS {
+                for a in 0..hops.len() {
+                    for b in 0..12 {
+                        let (mut pcb, mut now) = (pristine.clone(), t(1000));
+                        mutate(&mut pcb, &mut now, kind, a, b);
+                        let verdict = verdicts_agree(&pcb, &tr, now);
+                        reached.insert(match verdict {
+                            Ok(()) => "ok",
+                            Err(PcbError::Empty) => "empty",
+                            Err(PcbError::Expired) => "expired",
+                            Err(PcbError::BadOriginEntry) => "bad origin",
+                            Err(PcbError::LoopDetected(_)) => "loop",
+                            Err(PcbError::MissingEgress) => "missing egress",
+                            Err(PcbError::Chain(_, VerifyError::UnknownAs(_))) => "unknown AS",
+                            Err(PcbError::Chain(_, VerifyError::CertificateExpired)) => {
+                                "certificate expired"
+                            }
+                            Err(PcbError::Chain(_, VerifyError::BadSignature)) => "bad signature",
+                            Err(PcbError::Chain(_, e)) => {
+                                panic!("bootstrap issued a bad chain: {e}")
+                            }
+                        });
+                    }
+                }
+            }
+            assert_eq!(
+                reached.into_iter().collect::<Vec<_>>(),
+                [
+                    "bad origin",
+                    "bad signature",
+                    "certificate expired",
+                    "expired",
+                    "loop",
+                    "missing egress",
+                    "ok",
+                    "unknown AS"
+                ]
+            );
+            let mut empty = pristine;
+            empty.entries.clear();
+            assert_eq!(verdicts_agree(&empty, &tr, t(1000)), Err(PcbError::Empty));
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+            /// Random loop-free chains of 1–6 entries with 0–3 peer entries
+            /// each: built byte-equal by `originate` / `extend` and their
+            /// reference copies, accepted by both validations, and after
+            /// one random mutation still given the equal `Result` — error
+            /// variant and chain index included.
+            #[test]
+            fn prop_beacon_path_matches_the_reference(
+                first in 0usize..POOL,
+                hops in hops(),
+                kind in 0u8..MUTATIONS,
+                at in (any::<u16>(), any::<u16>()),
+            ) {
+                let tr = trust();
+                let mut pcb = build(&tr, first, &hops);
+                let mut now = t(1000);
+                prop_assert_eq!(verdicts_agree(&pcb, &tr, now), Ok(()));
+                mutate(&mut pcb, &mut now, kind, at.0 as usize, at.1 as usize);
+                // Most mutations are rejected, a few (a swap with itself, a
+                // dropped peer that was not there) are not: only agreement
+                // is asserted.
+                verdicts_agree(&pcb, &tr, now).ok();
+            }
+        }
     }
 
     mod proptests {

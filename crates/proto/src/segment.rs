@@ -135,7 +135,7 @@ impl PathSegment {
     /// egress)` — the origin's ingress and the terminal's egress are
     /// [`IfId::NONE`]. Borrows the segment; nothing is copied.
     pub fn forward_hops(&self) -> impl ExactSizeIterator<Item = TraversalHop> + Clone + '_ {
-        self.pcb.entries.iter().map(forward_hop)
+        self.pcb.path_hops()
     }
 
     /// The hops reversed for up-path traversal (terminal first, ingress and
@@ -279,6 +279,81 @@ mod tests {
         let back: PathSegment = serde_json::from_str(&json).unwrap();
         assert_eq!(back, seg);
         assert!(!Arc::ptr_eq(&back.pcb, &seg.pcb));
+    }
+
+    /// [`terminated`] with two peering links advertised by its middle AS.
+    fn terminated_with_peers(trust: &TrustStore) -> Pcb {
+        use crate::hopfield::HopField;
+        use crate::pcb::{forwarding_key, PeerEntry};
+        let expires = SimTime::ZERO + Duration::from_hours(6);
+        let peer = |peer: IsdAsn, local_if: u16, peer_if: u16| PeerEntry {
+            peer,
+            peer_if: IfId(peer_if),
+            hop: HopField::new(
+                IfId(local_if),
+                IfId::NONE,
+                expires,
+                forwarding_key(ia(1, 2)),
+            ),
+        };
+        Pcb::originate(
+            ia(1, 1),
+            IfId(5),
+            SimTime::ZERO,
+            Duration::from_hours(6),
+            0,
+            trust,
+        )
+        .extend(
+            ia(1, 2),
+            IfId(1),
+            IfId(2),
+            vec![peer(ia(1, 3), 8, 4), peer(ia(2, 7), 9, 6)],
+            trust,
+        )
+        .extend(ia(1, 3), IfId(7), IfId::NONE, vec![], trust)
+    }
+
+    /// `serde_json::to_string` of the `terminated_with_peers` down-segment,
+    /// captured at the commit before signing and validation serialised a
+    /// beacon in one exactly-sized pass: the last two signatures cover the
+    /// peer entries' bytes.
+    const GOLDEN_PEERS_JSON: &str = concat!(
+        r#"{"seg_type":"Down","pcb":{"origin":{"isd":1,"asn":1},"initiated_at":0,"expires_at":21600"#,
+        r#"000000,"segment_id":0,"entries":[{"ia":{"isd":1,"asn":1},"hop":{"ingress":0,"egress":5,""#,
+        r#"expiry":21600000000,"mac":[173,191,169,92,57,18]},"peers":[],"signature":[139,211,127,23"#,
+        r#"3,252,60,225,156,189,41,241,106,197,117,35,130,185,62,49,243,1,68,15,119,131,108,72,159,"#,
+        r#"198,116,204,141,192,195,241,25,201,147,237,63,173,194,106,180,161,247,237,38,199,235,9,1"#,
+        r#"57,222,161,134,244,173,157,133,63,40,166,45,28,101,184,233,52,248,109,52,21,111,201,147,"#,
+        r#"189,155,241,247,54,38,16,23,46,221,6,60,104,80,74,96,5,84,186,118,83]},{"ia":{"isd":1,"a"#,
+        r#"sn":2},"hop":{"ingress":1,"egress":2,"expiry":21600000000,"mac":[9,2,164,122,30,223]},"p"#,
+        r#"eers":[{"peer":{"isd":1,"asn":3},"peer_if":4,"hop":{"ingress":8,"egress":0,"expiry":2160"#,
+        r#"0000000,"mac":[144,173,249,0,124,70]}},{"peer":{"isd":2,"asn":7},"peer_if":6,"hop":{"ing"#,
+        r#"ress":9,"egress":0,"expiry":21600000000,"mac":[38,13,6,32,52,0]}}],"signature":[64,32,89"#,
+        r#",239,63,105,163,16,160,81,146,135,25,21,79,8,162,4,232,235,201,56,66,130,250,140,228,221"#,
+        r#",13,189,163,101,234,126,138,100,111,188,238,111,185,136,9,129,240,186,204,74,136,128,176"#,
+        r#",76,151,94,168,196,124,164,43,171,41,5,180,196,249,164,185,2,94,134,231,147,26,137,24,11"#,
+        r#"6,77,175,193,173,20,207,223,100,8,7,162,58,29,105,30,160,204,21,74,41]},{"ia":{"isd":1,""#,
+        r#"asn":3},"hop":{"ingress":7,"egress":0,"expiry":21600000000,"mac":[51,145,38,220,174,213]"#,
+        r#"},"peers":[],"signature":[123,16,250,35,86,57,3,112,121,149,72,69,56,243,218,179,243,243"#,
+        r#",217,49,127,213,205,38,115,25,89,47,247,39,164,33,185,217,223,214,165,148,15,79,239,61,1"#,
+        r#"70,146,190,191,238,115,57,97,167,212,103,16,225,60,40,141,138,45,170,224,248,141,145,226"#,
+        r#",253,30,244,57,124,47,220,117,98,57,29,211,137,43,72,169,123,247,248,75,57,213,223,125,3"#,
+        r#"5,166,62,243,41,89]}]}}"#,
+    );
+
+    #[test]
+    fn peer_entries_sign_the_bytes_they_always_did() {
+        let tr = trust();
+        let pcb = terminated_with_peers(&tr);
+        assert_eq!(pcb.entries.capacity(), pcb.entries.len());
+        let seg = PathSegment::from_terminated_pcb(SegmentType::Down, pcb);
+        assert_eq!(serde_json::to_string(&seg).unwrap(), GOLDEN_PEERS_JSON);
+        assert_eq!(
+            seg.pcb()
+                .validate(&tr, SimTime::ZERO + Duration::from_secs(1)),
+            Ok(())
+        );
     }
 
     #[test]
