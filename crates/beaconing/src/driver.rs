@@ -1830,6 +1830,27 @@ mod tests {
             (300, 113_760, 336)
         );
 
+        // The diversity algorithm on the same ring. Captured from a scratch
+        // clone of the parent of the commit that interned the link history
+        // (selection still rehashing every link per score) — not from this
+        // code: the rewrite must not move a pick.
+        for threads in [1, 4] {
+            let run = BeaconingRun {
+                threads,
+                ..BeaconingRun::core(Duration::from_hours(1), 7)
+            };
+            let out = run_quiet(&ring_of_cores(6), &BeaconingConfig::diversity(), &run).outcome;
+            assert_eq!(
+                (
+                    out.beacons_delivered,
+                    out.total_bytes(),
+                    out.events_processed
+                ),
+                (60, 24_240, 96),
+                "threads={threads}"
+            );
+        }
+
         let run = BeaconingRun {
             threads: 3,
             lossy: Some(LossyConfig {

@@ -46,13 +46,46 @@ use crate::config::DiversityParams;
 pub type PairKey = (IsdAsn, IsdAsn);
 
 /// Link History Tables for all pairs, with expiry-driven counter decay.
+///
+/// Links are interned: the first time a [`LinkId`] is counted or resolved
+/// it gets the next `u32` slot, and tables and pending rollbacks name links
+/// by slot, so the selection loop (through `DenseCounters`) hashes a link
+/// once per interval instead of once per score.
+///
+/// Slots are never freed. What bounds them: a link is interned only when
+/// it lies on a path this server stored or sent (a stored beacon's interior
+/// and ingress links, a local egress link), so a history holds at most as
+/// many slots as the topology has links, however long it runs.
 #[derive(Clone, Debug, Default)]
 pub struct LinkHistory {
-    counters: HashMap<PairKey, HashMap<LinkId, u32>>,
+    slots: HashMap<LinkId, u32>,
+    /// Per pair, the non-zero counters as `(slot, count)`, ordered by slot.
+    counters: HashMap<PairKey, Vec<(u32, u32)>>,
     /// Pending rollbacks, ordered by expiry.
     expiries: BinaryHeap<Reverse<(SimTime, u64)>>,
-    contributions: HashMap<u64, (PairKey, Vec<LinkId>)>,
+    contributions: HashMap<u64, (PairKey, Vec<u32>)>,
     next_seq: u64,
+}
+
+/// Position of `slot` in a pair's table, or where it would be inserted.
+fn find_slot(table: &[(u32, u32)], slot: u32) -> Result<usize, usize> {
+    table.binary_search_by_key(&slot, |&(s, _)| s)
+}
+
+/// `ln(1 + c)`: the +1-smoothed log of one counter.
+fn ln_smoothed(c: u32) -> f64 {
+    f64::from(c + 1).ln()
+}
+
+/// The geometric mean of `links` smoothed counters whose logs sum to
+/// `log_sum`.
+fn geomean(log_sum: f64, links: usize) -> f64 {
+    (log_sum / links as f64).exp()
+}
+
+/// The diversity score of a path with the given smoothed geometric mean.
+fn score_of(geomean: f64, max_geomean: f64) -> f64 {
+    (1.0 - (geomean / max_geomean).min(1.0)).max(0.0)
 }
 
 impl LinkHistory {
@@ -67,13 +100,13 @@ impl LinkHistory {
                 break;
             }
             self.expiries.pop();
-            if let Some((pair, links)) = self.contributions.remove(&seq) {
+            if let Some((pair, slots)) = self.contributions.remove(&seq) {
                 if let Some(table) = self.counters.get_mut(&pair) {
-                    for link in links {
-                        if let Some(c) = table.get_mut(&link) {
-                            *c = c.saturating_sub(1);
-                            if *c == 0 {
-                                table.remove(&link);
+                    for slot in slots {
+                        if let Ok(i) = find_slot(table, slot) {
+                            table[i].1 -= 1;
+                            if table[i].1 == 0 {
+                                table.remove(i);
                             }
                         }
                     }
@@ -85,25 +118,50 @@ impl LinkHistory {
         }
     }
 
+    /// The slot of `link`, interning it on first sight.
+    pub(crate) fn slot(&mut self, link: LinkId) -> u32 {
+        let next = self.slots.len() as u32;
+        *self.slots.entry(link).or_insert(next)
+    }
+
+    /// The `(slot, count)` table of `pair` (empty if nothing is counted).
+    fn table(&self, pair: PairKey) -> &[(u32, u32)] {
+        self.counters.get(&pair).map_or(&[], Vec::as_slice)
+    }
+
+    /// Counter of `link` in `table` (0 if never counted).
+    fn counter_in(&self, table: &[(u32, u32)], link: LinkId) -> u32 {
+        self.slots
+            .get(&link)
+            .and_then(|&slot| find_slot(table, slot).ok())
+            .map_or(0, |i| table[i].1)
+    }
+
     /// Counter of `link` for `pair` (0 if never counted).
     pub fn counter(&self, pair: PairKey, link: LinkId) -> u32 {
-        self.counters
-            .get(&pair)
-            .and_then(|t| t.get(&link))
-            .copied()
-            .unwrap_or(0)
+        self.counter_in(self.table(pair), link)
     }
 
     /// Records a dissemination: increments every link's counter for `pair`
     /// and schedules the rollback at `expires_at`.
     pub fn record_dissemination(&mut self, pair: PairKey, links: &[LinkId], expires_at: SimTime) {
+        let slots = links.iter().map(|&link| self.slot(link)).collect();
+        self.record_slots(pair, slots, expires_at);
+    }
+
+    /// [`LinkHistory::record_dissemination`] for links already resolved by
+    /// [`LinkHistory::slot`].
+    fn record_slots(&mut self, pair: PairKey, slots: Vec<u32>, expires_at: SimTime) {
         let table = self.counters.entry(pair).or_default();
-        for &link in links {
-            *table.entry(link).or_insert(0) += 1;
+        for &slot in &slots {
+            match find_slot(table, slot) {
+                Ok(i) => table[i].1 += 1,
+                Err(i) => table.insert(i, (slot, 1)),
+            }
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.contributions.insert(seq, (pair, links.to_vec()));
+        self.contributions.insert(seq, (pair, slots));
         self.expiries.push(Reverse((expires_at, seq)));
     }
 
@@ -126,25 +184,94 @@ impl LinkHistory {
         if links.is_empty() {
             return 1.0;
         }
+        let table = self.table(pair);
         let mut log_sum = 0.0f64;
         for &link in links {
-            let c = self.counter(pair, link);
-            log_sum += f64::from(c + 1).ln();
+            log_sum += ln_smoothed(self.counter_in(table, link));
         }
-        (log_sum / links.len() as f64).exp()
+        geomean(log_sum, links.len())
     }
 
     /// The link diversity score of a candidate path: `1 − min(1, gm /
     /// max_gm)`, in [0, 1], where 1 means fully disjoint from everything
     /// previously disseminated for this pair.
     pub fn diversity_score(&self, pair: PairKey, links: &[LinkId], max_geomean: f64) -> f64 {
-        let gm = self.geometric_mean(pair, links);
-        (1.0 - (gm / max_geomean).min(1.0)).max(0.0)
+        score_of(self.geometric_mean(pair, links), max_geomean)
     }
 
     /// Number of live (pair, link) counters — for tests and memory stats.
     pub fn live_counters(&self) -> usize {
-        self.counters.values().map(HashMap::len).sum()
+        self.counters.values().map(Vec::len).sum()
+    }
+}
+
+/// One pair's Link History Table spread over an array indexed by slot, so
+/// the selection loop reads a counter without a search and bumps it in
+/// place. All zero between pairs: [`DenseCounters::load`] fills it from the
+/// pair's table and [`DenseCounters::clear`] empties it through the same
+/// table, which names every slot [`DenseCounters::record`] bumped since.
+pub(crate) struct DenseCounters {
+    counts: Vec<u32>,
+    /// [`ln_smoothed`] of the counters a table usually holds, filled by
+    /// that call so a looked-up value is the computed one to the bit.
+    ln: [f64; 32],
+}
+
+impl DenseCounters {
+    /// All-zero counters for every slot `history` has handed out.
+    pub(crate) fn new(history: &LinkHistory) -> DenseCounters {
+        DenseCounters {
+            counts: vec![0; history.slots.len()],
+            ln: std::array::from_fn(|c| ln_smoothed(c as u32)),
+        }
+    }
+
+    /// Fills in `pair`'s counters.
+    pub(crate) fn load(&mut self, history: &LinkHistory, pair: PairKey) {
+        for &(slot, count) in history.table(pair) {
+            self.counts[slot as usize] = count;
+        }
+    }
+
+    /// Zeroes `pair`'s counters again.
+    pub(crate) fn clear(&mut self, history: &LinkHistory, pair: PairKey) {
+        for &(slot, _) in history.table(pair) {
+            self.counts[slot as usize] = 0;
+        }
+    }
+
+    /// Records a dissemination over `slots` for the loaded pair, here and
+    /// in `history`.
+    pub(crate) fn record(
+        &mut self,
+        history: &mut LinkHistory,
+        pair: PairKey,
+        slots: Vec<u32>,
+        expires_at: SimTime,
+    ) {
+        for &slot in &slots {
+            self.counts[slot as usize] += 1;
+        }
+        history.record_slots(pair, slots, expires_at);
+    }
+
+    fn ln_smoothed(&self, slot: u32) -> f64 {
+        let c = self.counts[slot as usize];
+        match self.ln.get(c as usize) {
+            Some(&ln) => ln,
+            None => ln_smoothed(c),
+        }
+    }
+
+    /// [`LinkHistory::diversity_score`] of the path `[path.., egress]` for
+    /// the loaded pair, summed in that order.
+    pub(crate) fn diversity_score(&self, path: &[u32], egress: u32, max_geomean: f64) -> f64 {
+        let mut log_sum = 0.0f64;
+        for &slot in path {
+            log_sum += self.ln_smoothed(slot);
+        }
+        log_sum += self.ln_smoothed(egress);
+        score_of(geomean(log_sum, path.len() + 1), max_geomean)
     }
 }
 
@@ -176,19 +303,18 @@ impl SentList {
         SentList::default()
     }
 
-    /// The live record for a candidate on an interface; expired records are
-    /// dropped on access (an expired previously-sent instance no longer
-    /// counts as "previously sent").
-    pub fn lookup(&mut self, iface: IfId, key: &PathKey, now: SimTime) -> Option<SentRecord> {
-        let table = self.by_iface.get_mut(&iface)?;
-        match table.get(key) {
-            Some(r) if now >= r.expires_at => {
-                table.remove(key);
-                None
-            }
-            Some(&r) => Some(r),
-            None => None,
-        }
+    /// The live record for a candidate on an interface, keyed by the
+    /// candidate's hops where they lie (an expired previously-sent instance
+    /// no longer counts as "previously sent"; [`SentList::purge`] is what
+    /// deletes it).
+    pub fn lookup(
+        &self,
+        iface: IfId,
+        key: &[(IsdAsn, IfId, IfId)],
+        now: SimTime,
+    ) -> Option<SentRecord> {
+        let record = self.by_iface.get(&iface)?.get(key)?;
+        (now < record.expires_at).then_some(*record)
     }
 
     /// Inserts or refreshes a record ("If a path is sent again, its
@@ -372,11 +498,13 @@ mod tests {
             last_sent: t(0),
         };
         s.record(IfId(1), key.clone(), rec);
-        assert!(s.lookup(IfId(1), &key, t(50)).is_some());
-        assert!(s.lookup(IfId(2), &key, t(50)).is_none(), "per-interface");
-        // At expiry the record evaporates.
-        assert!(s.lookup(IfId(1), &key, t(100)).is_none());
-        assert!(s.is_empty() || s.lookup(IfId(1), &key, t(50)).is_none());
+        assert!(s.lookup(IfId(1), &key.0, t(50)).is_some());
+        assert!(s.lookup(IfId(2), &key.0, t(50)).is_none(), "per-interface");
+        // At expiry the record stops answering; the purge deletes it.
+        assert!(s.lookup(IfId(1), &key.0, t(100)).is_none());
+        assert_eq!(s.len(), 1, "a read deletes nothing");
+        s.purge(t(100));
+        assert!(s.is_empty());
     }
 
     #[test]
@@ -423,9 +551,42 @@ mod tests {
                 last_sent: t(60),
             },
         );
-        let r = s.lookup(IfId(1), &key, t(70)).unwrap();
+        let r = s.lookup(IfId(1), &key.0, t(70)).unwrap();
         assert_eq!(r.expires_at, t(150));
         assert_eq!(r.last_sent, t(60));
         assert_eq!(s.len(), 1);
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+            /// Whatever was disseminated, a path's diversity score lies in
+            /// [0, 1], starts at `1 − 1/max_geomean` on an untouched table,
+            /// and never rises when a counter is incremented.
+            #[test]
+            fn diversity_score_is_bounded_and_monotone(
+                sent in proptest::collection::vec(proptest::collection::vec(1u16..9, 1..5), 0..12),
+                path in proptest::collection::vec(1u16..9, 1..6),
+                max_geomean in 1.0f64..16.0,
+            ) {
+                let pair = (ia(1), ia(2));
+                let links = |ifs: &[u16]| ifs.iter().map(|&i| link(1, i, 2, i)).collect::<Vec<_>>();
+                let path = links(&path);
+                let mut h = LinkHistory::new();
+                let mut before = h.diversity_score(pair, &path, max_geomean);
+                prop_assert_eq!(before, 1.0 - 1.0 / max_geomean);
+                for ifs in &sent {
+                    h.record_dissemination(pair, &links(ifs), t(100));
+                    let after = h.diversity_score(pair, &path, max_geomean);
+                    prop_assert!((0.0..=1.0).contains(&after), "score {}", after);
+                    prop_assert!(after <= before, "rose from {} to {}", before, after);
+                    before = after;
+                }
+            }
+        }
     }
 }

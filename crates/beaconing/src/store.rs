@@ -37,6 +37,10 @@ impl StoredBeacon {
     /// The candidate path key of this stored beacon *as seen by the local
     /// AS* `me`: the beacon's own key extended by the local (not yet
     /// appended) hop with the given egress.
+    ///
+    /// This is the definition of the Sent-PCBs-List key. The diversity
+    /// algorithm writes the same hops into a buffer it reuses instead of
+    /// calling it; its differential test holds the two equal.
     pub fn candidate_key(&self, me: IsdAsn, egress: IfId) -> PathKey {
         let mut key = self.pcb.path_key();
         key.0.push((me, self.ingress_if, egress));

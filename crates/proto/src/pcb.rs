@@ -63,6 +63,14 @@ pub struct AsEntry {
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub struct PathKey(pub Vec<(IsdAsn, IfId, IfId)>);
 
+/// A map keyed by `PathKey` answers for a borrowed hop slice: the derived
+/// `Hash` and `Eq` are the inner `Vec`'s, which are the slice's.
+impl std::borrow::Borrow<[(IsdAsn, IfId, IfId)]> for PathKey {
+    fn borrow(&self) -> &[(IsdAsn, IfId, IfId)] {
+        &self.0
+    }
+}
+
 /// Validation failures for received PCBs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PcbError {
