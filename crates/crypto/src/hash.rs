@@ -9,12 +9,23 @@
 
 /// splitmix64 finalizer: a well-studied 64-bit bijective mixer.
 #[inline]
-fn mix(mut z: u64) -> u64 {
+const fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
+
+/// Initial lane values.
+const IV: [u64; 4] = [
+    0x6a09_e667_f3bc_c908,
+    0xbb67_ae85_84ca_a73b,
+    0x3c6e_f372_fe94_f82b,
+    0xa54f_f53a_5f1d_36f1,
+];
+
+/// Tweak of the squeeze counter.
+const SQUEEZE: u64 = 0x5bf0_3635;
 
 /// Hash state: 256 bits.
 #[derive(Clone, Copy, Debug)]
@@ -32,15 +43,7 @@ impl Default for Hasher {
 impl Hasher {
     /// A fresh hasher with fixed initialization vector.
     pub fn new() -> Hasher {
-        Hasher {
-            state: [
-                0x6a09_e667_f3bc_c908,
-                0xbb67_ae85_84ca_a73b,
-                0x3c6e_f372_fe94_f82b,
-                0xa54f_f53a_5f1d_36f1,
-            ],
-            len: 0,
-        }
+        Hasher { state: IV, len: 0 }
     }
 
     /// Absorbs bytes.
@@ -71,7 +74,7 @@ impl Hasher {
         self.state[0] = mix(self.state[0] ^ self.len);
         for (i, block) in out.chunks_mut(8).enumerate() {
             let lane = i % 4;
-            let v = mix(self.state[lane] ^ mix(i as u64 ^ 0x5bf0_3635));
+            let v = mix(self.state[lane] ^ mix(i as u64 ^ SQUEEZE));
             block.copy_from_slice(&v.to_le_bytes()[..block.len()]);
         }
     }
@@ -81,6 +84,78 @@ impl Hasher {
         let mut out = [0u8; 32];
         self.finalize_into(&mut out);
         out
+    }
+}
+
+/// Lane 0 of a [`Hasher`] and its byte count: all that an output of at most
+/// eight bytes depends on. [`Hasher::update`] sets `state[0]` from `state[0]`
+/// and the word alone, never from another lane, and
+/// [`Hasher::finalize_into`] takes output block 0 from `state[0]` and `len`
+/// alone — so a caller that keeps eight bytes or fewer gets the same bytes
+/// from one dependent `mix` per word instead of four lanes of them. `Copy`
+/// and `const` throughout: a fixed prefix is absorbed at compile time and
+/// resumed from per call.
+#[derive(Clone, Copy, Debug)]
+pub struct Lane0 {
+    lane: u64,
+    len: u64,
+}
+
+impl Default for Lane0 {
+    fn default() -> Self {
+        Lane0::new()
+    }
+}
+
+impl Lane0 {
+    /// Lane 0 of [`Hasher::new`].
+    pub const fn new() -> Lane0 {
+        Lane0 {
+            lane: IV[0],
+            len: 0,
+        }
+    }
+
+    /// Lane 0 after [`Hasher::update`]`(data)`: the same split into
+    /// little-endian words of eight bytes and a shorter tail.
+    pub const fn update(mut self, data: &[u8]) -> Lane0 {
+        let mut at = 0;
+        while at < data.len() {
+            let n = if data.len() - at < 8 {
+                data.len() - at
+            } else {
+                8
+            };
+            let mut word = 0u64;
+            let mut i = 0;
+            while i < n {
+                word |= (data[at + i] as u64) << (8 * i);
+                i += 1;
+            }
+            self = self.absorb(word, n as u64);
+            at += n;
+        }
+        self
+    }
+
+    /// Lane 0 after [`Hasher::update`] of the low `n_bytes` bytes of `word`,
+    /// little-endian. `n_bytes` is 1 to 8 and the bytes of `word` above it
+    /// are zero, as the zero-padded copy in `update` leaves them.
+    #[inline]
+    pub const fn absorb(self, word: u64, n_bytes: u64) -> Lane0 {
+        debug_assert!(n_bytes >= 1 && n_bytes <= 8);
+        debug_assert!(n_bytes == 8 || word >> (8 * n_bytes) == 0);
+        Lane0 {
+            lane: mix(self.lane ^ word ^ (n_bytes << 56)),
+            len: self.len + n_bytes,
+        }
+    }
+
+    /// Output block 0: its first `n` bytes are what
+    /// [`Hasher::finalize_into`] writes into an `n`-byte buffer, `n` ≤ 8.
+    #[inline]
+    pub const fn first_block(self) -> [u8; 8] {
+        mix(mix(self.lane ^ self.len) ^ mix(SQUEEZE)).to_le_bytes()
     }
 }
 
@@ -159,6 +234,28 @@ mod tests {
             let mut h2 = Hasher::new();
             h2.update(&v.to_le_bytes());
             prop_assert_eq!(h1.finalize32(), h2.finalize32());
+        }
+
+        /// Pieces of 1–20 bytes: whole words, multi-word pieces and short
+        /// tails, in any sequence.
+        #[test]
+        fn prop_lane0_is_the_first_block_of_the_hasher(
+            pieces in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 1..=20), 0..8),
+        ) {
+            let mut h = Hasher::new();
+            let mut lane = Lane0::new();
+            for piece in &pieces {
+                h.update(piece);
+                lane = lane.update(piece);
+            }
+            let block = lane.first_block();
+            for n in 0..=8 {
+                let mut out = [0u8; 8];
+                h.finalize_into(&mut out[..n]);
+                prop_assert_eq!(&out[..n], &block[..n]);
+            }
+            prop_assert_eq!(h.finalize32()[..8], block);
         }
     }
 }

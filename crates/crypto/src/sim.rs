@@ -129,6 +129,12 @@ impl KeyPair {
         self.public
     }
 
+    /// The hash state [`SignDomain::PcbAsEntry`] signatures by this key
+    /// resume from; verifying them resumes from the same state.
+    pub(crate) fn pcb_entry(&self) -> Midstate {
+        self.pcb_entry
+    }
+
     /// Signs `payload` under `domain`.
     pub fn sign(&self, domain: SignDomain, payload: &[u8]) -> Signature {
         match domain {

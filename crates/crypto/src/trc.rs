@@ -143,12 +143,12 @@ impl TrustStore {
 
         // Key pairs, derived from the AS address; the cores' are TRC roots.
         store.keys.reserve(ases.size_hint().0);
-        let mut subjects: Vec<(IsdAsn, PublicKey)> = Vec::new();
+        let mut subjects: Vec<(IsdAsn, PublicKey, Midstate)> = Vec::new();
         let mut roots_by_isd: HashMap<Isd, Vec<(IsdAsn, PublicKey)>> = HashMap::new();
         for (ia, core) in ases {
             let seed = (u64::from(ia.isd.0) << 48) ^ ia.asn.value();
             let key = KeyPair::from_seed(seed);
-            subjects.push((ia, key.public()));
+            subjects.push((ia, key.public(), key.pcb_entry()));
             if core {
                 roots_by_isd
                     .entry(ia.isd)
@@ -174,28 +174,30 @@ impl TrustStore {
 
         // Certificates, issued by the lowest-numbered core of each ISD.
         store.signers.reserve(subjects.len());
-        for (ia, subject_key) in subjects {
+        for (ia, subject_key, pcb_entry) in subjects {
             let filed = store
                 .trcs
                 .get(&ia.isd)
                 .unwrap_or_else(|| panic!("ISD {} has no core AS to issue certificates", ia.isd));
             let payload = AsCertificate::signed_payload(ia, &subject_key, cert_lifetime_end);
-            store.admit(AsCertificate {
+            let cert = AsCertificate {
                 subject: ia,
                 subject_key,
                 issuer: filed.trc.roots[0].0,
                 not_after: cert_lifetime_end,
                 signature: filed.certifying[0].sign(&payload),
-            });
+            };
+            store.admit(cert, pcb_entry);
         }
         store
     }
 
-    /// Files `cert` under its subject together with its chain verdict. The
-    /// TRCs must already be in place: the verdict is not revisited.
-    fn admit(&mut self, cert: AsCertificate) {
+    /// Files `cert` under its subject together with its chain verdict and
+    /// `pcb_entry`, the subject key's hash state for beacon entries (the key
+    /// pair derived it already). The TRCs must already be in place: the
+    /// verdict is not revisited.
+    fn admit(&mut self, cert: AsCertificate, pcb_entry: Midstate) {
         let chain = self.check_chain(&cert);
-        let pcb_entry = Midstate::new(&cert.subject_key, SignDomain::PcbAsEntry);
         self.signers.insert(
             cert.subject,
             Signer {
@@ -447,7 +449,9 @@ mod tests {
         let mut s = sample_store();
         let mut cert = s.cert_of(ia(1, 10)).unwrap().clone();
         edit(&s, &mut cert);
-        s.admit(cert);
+        // No edit touches the subject key.
+        let pcb_entry = s.key_of(ia(1, 10)).unwrap().pcb_entry();
+        s.admit(cert, pcb_entry);
         s
     }
 

@@ -1,9 +1,9 @@
 //! Batched hop-field verification: the data-plane analogue of the
 //! parallel beaconing engine's shard/merge split.
 //!
-//! MAC verification is the only expensive, side-effect-free stage of the
-//! border-router pipeline, so it parallelizes cleanly: the **shard** stage
-//! verifies every scheduled hop's MAC across the worker pool
+//! MAC verification is the one side-effect-free stage of the
+//! border-router pipeline, so it is the one that can be sharded: the
+//! **shard** stage verifies every scheduled hop's MAC across the worker pool
 //! ([`phase::FWD_BATCH_SHARD`]), each shard counting and sample-timing its
 //! items in a local [`Profiler`]; the **merge** stage
 //! ([`phase::FWD_BATCH_MERGE`]) then replays the full pipeline serially in
@@ -14,6 +14,13 @@
 //! scalar pipeline would, a batched run's deterministic telemetry streams
 //! are byte-identical to a scalar run over the same steps — asserted by
 //! `tests/forwarding_determinism.rs`.
+//!
+//! What the split does not buy is speed. A MAC check is six dependent
+//! mixing rounds, ~13 ns (`proto.hopfield_verify_ns`), and one pool
+//! hand-off is 34–96 µs (`simulator.pool_batch_us`): `scion-bench fwd`
+//! reads the batched arm below the scalar one in every run
+//! (EXPERIMENTS.md, "Forwarding"). Whether the arm stays is ROADMAP's
+//! worker-pool item to decide.
 
 use std::time::Instant;
 
@@ -42,8 +49,9 @@ pub struct BatchStep {
     pub arrival_if: IfId,
 }
 
-/// Minimum steps per shard chunk: below this, hand-off overhead dominates
-/// the ~100 ns MAC check.
+/// Minimum steps per shard chunk. At ~13 ns per MAC check a chunk of 32 is
+/// ~0.4 µs of work, a hundredth of what handing it to a worker costs; the
+/// floor bounds the number of chunks, it does not make one worth shipping.
 const MIN_CHUNK: usize = 32;
 
 /// Processes `steps` against `packets`, verifying hop-field MACs in

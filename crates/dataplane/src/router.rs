@@ -11,6 +11,13 @@
 //! per-hop trace events, MAC-verify outcomes, per-interface counters, and
 //! sampled wall-clock latency recorded into the telemetry handle — all
 //! behind single-branch checks so a disabled handle stays free.
+//!
+//! Measured (benchmark kernels, 2-vCPU host, EXPERIMENTS.md "Forwarding hop
+//! cost"): a hop through a disabled handle is ~18 ns
+//! (`dataplane.forward_ns`), ~13 of them the MAC's six dependent mixing
+//! rounds (`proto.hopfield_verify_ns`); a recording hop is ~85 ns
+//! (`dataplane.forward_recording_ns`), and the difference is its two
+//! 80-byte trace records, not the check.
 
 use scion_proto::pcb::forwarding_key;
 use scion_telemetry::trace::TraceEvent;
@@ -125,9 +132,10 @@ pub fn forward(
 ///
 /// `node` is the dense topology index of `local_as`, used to label traces
 /// and counters. `precomputed_mac` short-circuits the MAC check with a
-/// result computed elsewhere (the batched verifier); the trace record and
-/// counters are still emitted identically, which keeps the scalar and
-/// batched arms byte-identical on the deterministic streams.
+/// result computed elsewhere (the batched verifier) — it skips that ~13 ns
+/// and nothing else; the trace record and counters are still emitted
+/// identically, which keeps the scalar and batched arms byte-identical on
+/// the deterministic streams.
 pub fn forward_instrumented(
     packet: &mut Packet,
     local_as: IsdAsn,

@@ -126,7 +126,11 @@ pub struct AsNode {
     /// Whether this AS is a member of its ISD's core (paper §2.1: typically
     /// the 3–10 largest ISPs of an ISD).
     pub core: bool,
-    /// Links incident to this AS, in interface-id order.
+    /// Links incident to this AS, by interface id: the link at position
+    /// `k` carries interface id `k + 1` at this AS. `add_link` appends as it
+    /// hands the ids out 1, 2, … and nothing removes or reorders;
+    /// [`AsTopology::link_by_interface`] indexes by it and
+    /// [`AsTopology::check_invariants`] asserts it.
     pub links: Vec<LinkIndex>,
     /// Next interface id to hand out (interface ids are per-AS unique,
     /// starting at 1; 0 is the "no interface" sentinel).
@@ -371,12 +375,15 @@ impl AsTopology {
             .collect()
     }
 
-    /// Resolves an egress interface id at `idx` to its link.
+    /// Resolves an egress interface id at `idx` to its link: the entry at
+    /// position `ifid − 1` of the node's links (see [`AsNode::links`]),
+    /// answered only if that link does carry `ifid` at `idx` — a topology
+    /// that broke the ordering answers `None`, never another link.
     pub fn link_by_interface(&self, idx: AsIndex, ifid: IfId) -> Option<LinkIndex> {
-        self.node(idx).links.iter().copied().find(|&li| {
-            let l = self.link(li);
-            (l.a == idx && l.a_if == ifid) || (l.b == idx && l.b_if == ifid)
-        })
+        let at = usize::from(ifid.0).checked_sub(1)?;
+        let li = *self.node(idx).links.get(at)?;
+        let l = self.link(li);
+        ((l.a == idx && l.a_if == ifid) || (l.b == idx && l.b_if == ifid)).then_some(li)
     }
 
     /// The sub-multigraph induced by the core ASes: returns the link indices
@@ -392,19 +399,26 @@ impl AsTopology {
 
     /// Checks structural invariants; used by tests and debug assertions.
     ///
-    /// Invariants: interface ids are per-AS unique; every link is listed in
+    /// Invariants: interface ids are per-AS unique; the *k*-th entry of an
+    /// adjacency list carries interface id *k* + 1 at that AS (what
+    /// [`AsTopology::link_by_interface`] indexes by); every link is listed in
     /// both endpoints' adjacency; adjacency lists are strictly ascending in
     /// [`LinkIndex`] (the ordering guarantee fault schedules depend on); the
     /// address index is consistent.
     pub fn check_invariants(&self) -> Result<(), String> {
         for idx in self.as_indices() {
             let mut seen_if = std::collections::HashSet::new();
-            for (li, _, local_if, _) in self.incident(idx) {
+            for (k, (li, _, local_if, _)) in self.incident(idx).enumerate() {
                 if !seen_if.insert(local_if) {
                     return Err(format!("duplicate ifid {local_if} at {idx} (link {li})"));
                 }
                 if local_if.is_none() {
                     return Err(format!("sentinel ifid used on a real link at {idx}"));
+                }
+                if usize::from(local_if.0) != k + 1 {
+                    return Err(format!(
+                        "entry {k} of the adjacency of {idx} carries ifid {local_if} (link {li})"
+                    ));
                 }
             }
             let adj = &self.node(idx).links;
@@ -453,9 +467,92 @@ pub fn topology_from_edges(edges: &[(u64, u64, Relationship, usize)]) -> AsTopol
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isd::{induced_subgraph, prune_to_top_degree};
+    use proptest::prelude::*;
 
     fn ia(asn: u64) -> IsdAsn {
         IsdAsn::new(Isd(1), Asn::from_u64(asn))
+    }
+
+    /// The parent commit's `link_by_interface`: a scan of the node's links.
+    /// Kept as the oracle for the positional lookup.
+    fn link_by_interface_scan(t: &AsTopology, idx: AsIndex, ifid: IfId) -> Option<LinkIndex> {
+        t.node(idx).links.iter().copied().find(|&li| {
+            let l = t.link(li);
+            (l.a == idx && l.a_if == ifid) || (l.b == idx && l.b_if == ifid)
+        })
+    }
+
+    /// Every AS against every id any AS of `t` carries — so ids valid only
+    /// at a different AS occur — plus [`IfId::NONE`], one past the largest
+    /// degree and `u16::MAX`.
+    fn assert_lookup_matches_the_scan(t: &AsTopology) {
+        t.check_invariants().unwrap();
+        let max_degree = t
+            .as_indices()
+            .map(|i| t.node(i).link_degree())
+            .max()
+            .unwrap_or(0) as u16;
+        for idx in t.as_indices() {
+            for ifid in (0..=max_degree + 1).chain([u16::MAX]).map(IfId) {
+                assert_eq!(
+                    t.link_by_interface(idx, ifid),
+                    link_by_interface_scan(t, idx, ifid),
+                    "{ifid} at {idx}"
+                );
+            }
+            for (li, _, local_if, _) in t.incident(idx) {
+                assert_eq!(t.link_by_interface(idx, local_if), Some(li));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        #[test]
+        fn prop_link_by_interface_matches_the_scan(
+            n in 2u32..9,
+            edges in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 0..40),
+            keep in proptest::collection::vec(any::<bool>(), 9),
+            survivors in any::<usize>(),
+        ) {
+            let mut t = AsTopology::new();
+            for asn in 0..n {
+                t.add_as(ia(u64::from(asn) + 1));
+            }
+            // Few ASes, many edges: most pairs get parallel links.
+            for (a, b, peer) in edges {
+                let (a, b) = (AsIndex(a % n), AsIndex(b % n));
+                if a != b {
+                    let rel = if peer {
+                        Relationship::PeerToPeer
+                    } else {
+                        Relationship::AProviderOfB
+                    };
+                    t.add_link(a, b, rel);
+                }
+            }
+            assert_lookup_matches_the_scan(&t);
+            assert_lookup_matches_the_scan(&induced_subgraph(&t, &keep[..n as usize]).0);
+            assert_lookup_matches_the_scan(&prune_to_top_degree(&t, survivors % (n as usize + 1)).0);
+        }
+    }
+
+    #[test]
+    fn a_reordered_adjacency_answers_none_and_fails_the_invariants() {
+        let mut t = AsTopology::new();
+        let a = t.add_as(ia(10));
+        let b = t.add_as(ia(20));
+        let c = t.add_as(ia(30));
+        let l1 = t.add_link(a, b, Relationship::PeerToPeer);
+        let l2 = t.add_link(a, c, Relationship::PeerToPeer);
+        t.ases[a.as_usize()].links.swap(0, 1);
+        assert_eq!(t.link_by_interface(a, IfId(1)), None);
+        assert_eq!(t.link_by_interface(a, IfId(2)), None);
+        assert_eq!(t.link_by_interface(b, IfId(1)), Some(l1));
+        assert_eq!(t.link_by_interface(c, IfId(1)), Some(l2));
+        assert!(t.check_invariants().unwrap_err().contains("carries ifid"));
     }
 
     #[test]
@@ -550,6 +647,7 @@ mod tests {
         assert_eq!(t.link_by_interface(a, t.link(l1).a_if), Some(l1));
         assert_eq!(t.link_by_interface(b, t.link(l2).b_if), Some(l2));
         assert_eq!(t.link_by_interface(a, IfId(99)), None);
+        assert_eq!(t.link_by_interface(a, IfId::NONE), None);
     }
 
     #[test]
