@@ -200,20 +200,39 @@ pub fn telemetry_summary(tel: &Telemetry) -> String {
         ]);
         out.push_str("== Streams ==\n");
         out.push_str(&t.render());
+        if tel.traces.dropped() > 0 {
+            let _ = writeln!(
+                out,
+                "WARNING: trace ring wrapped — the oldest {} of {} records are gone",
+                tel.traces.dropped(),
+                tel.traces.emitted()
+            );
+        }
         out.push('\n');
     }
 
-    // -- Wall-clock phase profile: time columns cover the timed calls
-    //    (all of them, except for sampled hot spans). --
+    // -- Wall-clock phase profile: `timed ms` covers the timed calls only
+    //    (all of them, except for sampled hot spans); `est. total ms`
+    //    scales their mean to every call, so a sampled phase reads at its
+    //    real weight beside the others. --
     if !tel.profile.is_empty() {
         let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
-        let mut t = Table::new(&["phase", "calls", "timed", "timed ms", "mean ms", "max ms"]);
+        let mut t = Table::new(&[
+            "phase",
+            "calls",
+            "timed",
+            "timed ms",
+            "est. total ms",
+            "mean ms",
+            "max ms",
+        ]);
         for (name, s) in tel.profile.phases() {
             t.row(&[
                 name.to_string(),
                 s.calls.to_string(),
                 s.timed.to_string(),
                 ms(s.total_ns),
+                ms(s.mean_ns().saturating_mul(s.calls)),
                 ms(s.mean_ns()),
                 ms(s.max_ns),
             ]);
@@ -262,20 +281,24 @@ mod tests {
 
     #[test]
     fn telemetry_summary_covers_every_section() {
-        use scion_telemetry::{ids, phase, TelemetryConfig, TraceEvent};
+        use scion_telemetry::{ids, phase, TelemetryConfig, TraceEvent, HOT_SPAN_SAMPLE};
         use scion_types::SimTime;
 
-        let mut tel = Telemetry::new(TelemetryConfig::default());
+        let mut tel = Telemetry::new(TelemetryConfig {
+            trace_capacity: 2,
+            ..TelemetryConfig::default()
+        });
+        let originated = |seq| TraceEvent::PcbOriginated {
+            node: 0,
+            egress_if: 1,
+            seq,
+        };
         tel.inc(ids::BEACONS_SENT, Label::As(0), 5);
         tel.inc(ids::BEACONS_SENT, Label::As(1), 7);
         tel.sample(SimTime::ZERO, ids::ENGINE_QUEUE_DEPTH, Label::Global, 3.0);
         tel.sample(SimTime::ZERO, ids::IFACE_BYTES, Label::Iface(0, 1), 9.0);
         tel.observe(ids::PCB_HOPS_AT_DELIVERY, Label::Global, 2.0);
-        tel.trace_event(SimTime::ZERO, || TraceEvent::PcbOriginated {
-            node: 0,
-            egress_if: 1,
-            seq: 0,
-        });
+        tel.trace_event(SimTime::ZERO, || originated(0));
         tel.profile.record_ns(phase::ORIGINATION, 1_000_000);
 
         let s = telemetry_summary(&tel);
@@ -287,8 +310,42 @@ mod tests {
         assert!(s.contains("engine.queue_depth"), "{s}");
         assert!(s.contains("== Histograms =="), "{s}");
         assert!(s.contains("== Streams =="), "{s}");
+        assert!(!s.contains("WARNING"), "{s}");
         assert!(s.contains("== Wall-clock profile =="), "{s}");
-        assert!(s.contains("beaconing.origination"), "{s}");
+        assert!(s.contains("est. total ms"), "{s}");
+        // phase, calls, timed, timed ms, est. total ms, ...: with every
+        // call timed the estimate is the measured total.
+        let cells = |s: &str, phase: &str| -> Vec<String> {
+            let row = s.lines().find(|l| l.starts_with(phase)).expect("phase row");
+            row.split_whitespace().map(String::from).collect()
+        };
+        assert_eq!(
+            cells(&s, phase::ORIGINATION)[1..5],
+            ["1", "1", "1.000", "1.000"]
+        );
+
+        // Wrap the two-record ring, and run one sampling period of hot
+        // spans, of which only the first is timed.
+        for seq in 1..5 {
+            tel.trace_event(SimTime::ZERO, || originated(seq));
+        }
+        for _ in 0..HOT_SPAN_SAMPLE {
+            let span = tel.profile.hot_span(phase::FWD_FORWARD);
+            tel.profile.finish(span);
+        }
+        let s = telemetry_summary(&tel);
+        assert!(
+            s.contains("WARNING: trace ring wrapped — the oldest 3 of 5 records are gone"),
+            "{s}"
+        );
+        let stats = tel.profile.stats(phase::FWD_FORWARD).unwrap();
+        assert_eq!((stats.calls, stats.timed), (HOT_SPAN_SAMPLE, 1));
+        let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
+        assert_eq!(
+            cells(&s, phase::FWD_FORWARD)[3..5],
+            [ms(stats.total_ns), ms(stats.total_ns * HOT_SPAN_SAMPLE)],
+            "{s}"
+        );
     }
 
     #[test]

@@ -13,11 +13,13 @@
 //! behind single-branch checks so a disabled handle stays free.
 //!
 //! Measured (benchmark kernels, 2-vCPU host, EXPERIMENTS.md "Forwarding hop
-//! cost"): a hop through a disabled handle is ~18 ns
-//! (`dataplane.forward_ns`), ~13 of them the MAC's six dependent mixing
-//! rounds (`proto.hopfield_verify_ns`); a recording hop is ~85 ns
-//! (`dataplane.forward_recording_ns`), and the difference is its two
-//! 80-byte trace records, not the check.
+//! cost" and "Recording hop cost"): a hop through a disabled handle is
+//! ~18 ns (`dataplane.forward_ns`), ~13 of them the MAC's six dependent
+//! mixing rounds (`proto.hopfield_verify_ns`); a recording hop is ~48 ns
+//! (`dataplane.forward_recording_ns`), and the ~30 ns between them are what
+//! it records — two 80-byte trace records written in place, four or five
+//! counter slots, two counted spans whose clock is read on one hop in 64 —
+//! not the check.
 
 use scion_proto::pcb::forwarding_key;
 use scion_telemetry::trace::TraceEvent;
@@ -127,8 +129,8 @@ pub fn forward(
 /// * on every drop: [`TraceEvent::PacketDropped`] with the stable reason
 ///   code and the matching `dataplane.drop.*` counter;
 /// * hot spans ([`scion_telemetry::Profiler::hot_span`]: every call
-///   counted, one in sixteen timed) into the [`phase::FWD_FORWARD`] and
-///   [`phase::FWD_VERIFY`] profiler phases.
+///   counted, one in [`scion_telemetry::HOT_SPAN_SAMPLE`] timed) into the
+///   [`phase::FWD_FORWARD`] and [`phase::FWD_VERIFY`] profiler phases.
 ///
 /// `node` is the dense topology index of `local_as`, used to label traces
 /// and counters. `precomputed_mac` short-circuits the MAC check with a

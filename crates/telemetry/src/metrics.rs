@@ -184,15 +184,19 @@ impl Histogram {
 
 /// Every instance of one metric id, laid out by label shape: a scalar for
 /// [`Label::Global`], a table indexed by the dense AS / link index, and
-/// per AS a short list sorted by interface id. `None` marks a slot that
-/// was never recorded, so an instance incremented by zero still exists.
-/// Tables grow on first use to the largest index seen; nothing is sized
-/// to the topology up front.
+/// per AS a table indexed by interface id. `None` marks a slot that was
+/// never recorded, so an instance incremented by zero still exists and a
+/// gap between two recorded indices is not an instance. Tables grow on
+/// first use to the largest index seen; nothing is sized to the topology
+/// up front. The interface tables rely on density as the others do —
+/// interface ids run 1, 2, … per AS (`AsNode::links`: position = id − 1)
+/// — and are bounded where that does not hold: a per-AS table is as long
+/// as the largest interface id recorded there, at most 65 536 slots.
 #[derive(Clone, Debug)]
 struct Slab<T> {
     global: Option<T>,
     by_as: Vec<Option<T>>,
-    by_iface: Vec<Vec<(u16, T)>>,
+    by_iface: Vec<Vec<Option<T>>>,
     by_link: Vec<Option<T>>,
 }
 
@@ -224,15 +228,8 @@ impl<T> Slab<T> {
             Label::As(n) => slot_at(&mut self.by_as, n as usize).get_or_insert_with(init),
             Label::Link(l) => slot_at(&mut self.by_link, l as usize).get_or_insert_with(init),
             Label::Iface(n, interface) => {
-                let list = slot_at(&mut self.by_iface, n as usize);
-                let at = match list.binary_search_by_key(&interface, |&(i, _)| i) {
-                    Ok(at) => at,
-                    Err(at) => {
-                        list.insert(at, (interface, init()));
-                        at
-                    }
-                };
-                &mut list[at].1
+                let table = slot_at(&mut self.by_iface, n as usize);
+                slot_at(table, interface as usize).get_or_insert_with(init)
             }
         }
     }
@@ -243,27 +240,28 @@ impl<T> Slab<T> {
             Label::As(n) => self.by_as.get(n as usize)?.as_ref(),
             Label::Link(l) => self.by_link.get(l as usize)?.as_ref(),
             Label::Iface(n, interface) => {
-                let list = self.by_iface.get(n as usize)?;
-                let at = list.binary_search_by_key(&interface, |&(i, _)| i).ok()?;
-                Some(&list[at].1)
+                let table = self.by_iface.get(n as usize)?;
+                table.get(interface as usize)?.as_ref()
             }
         }
     }
 
     /// Recorded instances in [`Label`] order.
     fn iter(&self) -> impl Iterator<Item = (Label, &T)> + '_ {
-        fn dense<T>(
-            table: &[Option<T>],
-            label: fn(u32) -> Label,
-        ) -> impl Iterator<Item = (Label, &T)> + '_ {
+        fn dense<'a, T>(
+            table: &'a [Option<T>],
+            label: impl Fn(u32) -> Label + 'a,
+        ) -> impl Iterator<Item = (Label, &'a T)> + 'a {
             table
                 .iter()
                 .enumerate()
                 .filter_map(move |(i, slot)| Some((label(i as u32), slot.as_ref()?)))
         }
-        let ifaces = self.by_iface.iter().enumerate().flat_map(|(n, list)| {
-            list.iter()
-                .map(move |(interface, v)| (Label::Iface(n as u32, *interface), v))
+        let ifaces = self.by_iface.iter().enumerate().flat_map(|(n, table)| {
+            // A table never outgrows the u16 that indexed it.
+            dense(table, move |interface| {
+                Label::Iface(n as u32, interface as u16)
+            })
         });
         (self.global.iter().map(|v| (Label::Global, v)))
             .chain(dense(&self.by_as, Label::As))
@@ -467,10 +465,20 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
+        // Interface ids are drawn dense, sparse and at the type's end: a
+        // per-AS table grows to the largest id recorded there, the gaps it
+        // leaves are not instances, and iteration stays in id order.
         #[test]
         fn registry_agrees_with_an_ordered_map_model(
             ops in proptest::collection::vec(
-                (0u8..4, 0usize..ids::ALL.len(), 0u8..4, 0u32..9, 0u16..5, 0u64..4),
+                (
+                    0u8..4,
+                    0usize..ids::ALL.len(),
+                    0u8..4,
+                    0u32..9,
+                    prop_oneof![0u16..5, 250u16..260, Just(u16::MAX)],
+                    0u64..4,
+                ),
                 0..300,
             )
         ) {
@@ -519,10 +527,22 @@ mod tests {
             prop_assert_eq!(histograms, expected);
             prop_assert_eq!(registry.is_empty(), ops.is_empty());
 
-            // Point reads, hits and misses alike.
+            // Point reads, hits and misses alike: (2, 5) and (4, 100) fall
+            // in a gap of any interface table that reaches 250, (6, 300)
+            // past every table that does not reach `u16::MAX`.
             for &id in ids::ALL {
                 for shape in 0..4 {
-                    for (a, b) in [(0, 0), (3, 1), (8, 4), (9, 0), (2, 5)] {
+                    for (a, b) in [
+                        (0, 0),
+                        (3, 1),
+                        (8, 4),
+                        (9, 0),
+                        (2, 5),
+                        (4, 100),
+                        (1, 255),
+                        (6, 300),
+                        (5, u16::MAX),
+                    ] {
                         let label = label_of(shape, a, b);
                         let key = (id.name(), label);
                         prop_assert_eq!(

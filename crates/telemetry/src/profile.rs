@@ -6,8 +6,19 @@
 //! combination — so later PRs can optimize them against a recorded
 //! baseline. Profile numbers are therefore intentionally excluded from the
 //! determinism guarantee and exported to their own file.
+//!
+//! A handle records a handful of phases, so [`Profiler`] keeps them in a
+//! small vector in first-use order and finds a phase's slot by the
+//! *identity* of its name — address and length of the `&'static str`, no
+//! byte compared. The same text arriving from another address (a `const`
+//! is instantiated per using crate, so [`phase::PAR_POP`] read from the
+//! benchmark package is not the string the driver recorded under) falls
+//! back to text equality and lands in the same phase. Names stay
+//! `&'static str` rather than a typed phase id because the benchmark
+//! package, which later PRs may not edit, hands them through a
+//! `|p: &str|` closure to [`Profiler::stats`]. Reports are sorted by name
+//! when they are read ([`Profiler::phases`]), not when they are written.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 use serde::Serialize;
@@ -73,10 +84,18 @@ pub const WALL_NS_BUCKETS: [f64; 22] = [
 
 /// A hot span ([`Profiler::hot_span`]) reads the clock on the first call of
 /// its phase and on every `HOT_SPAN_SAMPLE`-th call after it; every call is
-/// counted. Two clock reads cost more than the border-router hop they
-/// would time, so per-hop spans are sampled; the sampled subset still
-/// fills the latency histogram with thousands of observations per run.
-pub const HOT_SPAN_SAMPLE: u64 = 16;
+/// counted, so [`PhaseStats::calls`] stays the exact operation count and
+/// only `timed` and the histogram's sample count shrink with the rate.
+///
+/// The rate is sized to the hop it times. A clock-read pair
+/// (`Instant::now` + `elapsed`) measures 92 ns on the 2-vCPU reference
+/// host (`tsc` clocksource) and a border-router hop 18 ns
+/// (`dataplane.forward_ns`): at 1 in 64 a span pays 92 / 64 = 1.4 ns of
+/// clock per call, and a hop opens two spans — 2.9 ns, a sixth of the hop
+/// they time (at 1 in 16 it would be two thirds). The sampled subset still
+/// fills the latency histogram: ~390 timed hops per 24 792-hop pass of the
+/// benchmark's packet set, ~570 in `scion-bench fwd --scale tiny`.
+pub const HOT_SPAN_SAMPLE: u64 = 64;
 
 /// Accumulated wall-clock statistics of one phase.
 #[derive(Clone, Copy, Debug, Default, Serialize)]
@@ -135,14 +154,18 @@ fn elapsed_ns(start: Instant) -> u64 {
 #[derive(Clone, Debug, Default)]
 pub struct Profiler {
     enabled: bool,
-    phases: BTreeMap<&'static str, Phase>,
+    /// One slot per phase, in first-use order. A slot never moves, so a
+    /// [`HotSpan`] can carry its index across other phases' first use.
+    phases: Vec<(&'static str, Phase)>,
 }
 
-/// An open hot span; hand it back to [`Profiler::finish`].
+/// An open hot span; hand it back to [`Profiler::finish`] on the profiler
+/// that opened it.
 #[must_use = "a hot span records its time only when passed to Profiler::finish"]
 #[derive(Debug)]
 pub struct HotSpan {
-    phase: &'static str,
+    /// The phase's slot in the profiler that opened the span.
+    slot: usize,
     /// `None` when this call is counted but not timed.
     start: Option<Instant>,
 }
@@ -157,13 +180,38 @@ impl Profiler {
     pub fn enabled() -> Profiler {
         Profiler {
             enabled: true,
-            phases: BTreeMap::new(),
+            phases: Vec::new(),
         }
     }
 
     /// True when spans are recorded.
     pub fn is_enabled(&self) -> bool {
         self.enabled
+    }
+
+    /// The slot of `name`, created on first use. The hit every call site
+    /// but a phase's first takes is the identity pass: address and length,
+    /// no byte of the name read.
+    #[inline]
+    fn slot(&mut self, name: &'static str) -> usize {
+        match self.phases.iter().position(|(n, _)| std::ptr::eq(*n, name)) {
+            Some(slot) => slot,
+            None => self.slot_by_text(name),
+        }
+    }
+
+    /// A name at an address no slot holds: the same text from another
+    /// place, or a new phase.
+    #[cold]
+    fn slot_by_text(&mut self, name: &'static str) -> usize {
+        self.find(name).unwrap_or_else(|| {
+            self.phases.push((name, Phase::default()));
+            self.phases.len() - 1
+        })
+    }
+
+    fn find(&self, name: &str) -> Option<usize> {
+        self.phases.iter().position(|(n, _)| *n == name)
     }
 
     /// Opens an RAII span: the elapsed wall-clock time is recorded under
@@ -191,15 +239,16 @@ impl Profiler {
     /// clock.
     #[inline]
     pub fn hot_span(&mut self, phase: &'static str) -> HotSpan {
-        let mut start = None;
+        let (mut slot, mut start) = (0, None);
         if self.enabled {
-            let stats = &mut self.phases.entry(phase).or_default().stats;
+            slot = self.slot(phase);
+            let stats = &mut self.phases[slot].1.stats;
             if stats.calls.is_multiple_of(HOT_SPAN_SAMPLE) {
                 start = Some(Instant::now());
             }
             stats.calls += 1;
         }
-        HotSpan { phase, start }
+        HotSpan { slot, start }
     }
 
     /// Closes a hot span, recording its duration if this call was timed.
@@ -207,13 +256,14 @@ impl Profiler {
     pub fn finish(&mut self, span: HotSpan) {
         if let Some(start) = span.start {
             let ns = elapsed_ns(start);
-            self.phases.entry(span.phase).or_default().time(ns);
+            self.phases[span.slot].1.time(ns);
         }
     }
 
     /// Records an already-measured span.
     pub fn record_ns(&mut self, phase: &'static str, ns: u64) {
-        let phase = self.phases.entry(phase).or_default();
+        let slot = self.slot(phase);
+        let phase = &mut self.phases[slot].1;
         phase.stats.calls += 1;
         phase.time(ns);
     }
@@ -224,8 +274,9 @@ impl Profiler {
     /// parallel batch-verification shards report their spans without
     /// sharing the profiler.
     pub fn absorb(&mut self, shard: &Profiler) {
-        for (&name, theirs) in &shard.phases {
-            let mine = self.phases.entry(name).or_default();
+        for (name, theirs) in &shard.phases {
+            let slot = self.slot(name);
+            let mine = &mut self.phases[slot].1;
             mine.stats.calls += theirs.stats.calls;
             mine.stats.timed += theirs.stats.timed;
             mine.stats.total_ns += theirs.stats.total_ns;
@@ -236,18 +287,20 @@ impl Profiler {
 
     /// The stats of one phase, if it ever ran.
     pub fn stats(&self, phase: &str) -> Option<PhaseStats> {
-        self.phases.get(phase).map(|p| p.stats)
+        self.find(phase).map(|slot| self.phases[slot].1.stats)
     }
 
     /// The latency histogram of one phase's timed scopes (nanosecond
     /// buckets), if the phase ever ran.
     pub fn latency(&self, phase: &str) -> Option<&Histogram> {
-        self.phases.get(phase).map(|p| &p.latency)
+        self.find(phase).map(|slot| &self.phases[slot].1.latency)
     }
 
     /// All phases in deterministic name order.
     pub fn phases(&self) -> impl Iterator<Item = (&'static str, PhaseStats)> + '_ {
-        self.phases.iter().map(|(&name, p)| (name, p.stats))
+        let mut rows: Vec<_> = self.phases.iter().map(|(n, p)| (*n, p.stats)).collect();
+        rows.sort_unstable_by_key(|&(name, _)| name);
+        rows.into_iter()
     }
 
     /// True when no span was ever recorded.
@@ -324,7 +377,7 @@ mod tests {
     }
 
     #[test]
-    fn hot_spans_count_every_call_and_time_one_in_sixteen() {
+    fn hot_spans_count_every_call_and_time_the_sampled_ones() {
         let mut p = Profiler::enabled();
         let n = 3 * HOT_SPAN_SAMPLE + 5;
         let mut timed = 0;
@@ -370,10 +423,12 @@ mod tests {
     fn absorb_adds_shard_calls_timings_and_latencies() {
         let mut p = Profiler::enabled();
         p.record_ns("v", 1_000);
-        // Two shards of 20 and 7 jobs: calls must come out as jobs
-        // verified, timed as what the shards' own sampling measured.
-        let mut jobs = 0;
-        for shard_jobs in [20, 7] {
+        // Two shards, one longer than a sampling period and one shorter:
+        // calls must come out as jobs verified, timed as what the shards'
+        // own sampling measured — each shard's first call and every
+        // `HOT_SPAN_SAMPLE`-th after it.
+        let (mut jobs, mut timed) = (0, 0);
+        for shard_jobs in [HOT_SPAN_SAMPLE + 4, 7] {
             let mut shard = Profiler::enabled();
             for _ in 0..shard_jobs {
                 let span = shard.hot_span("v");
@@ -382,10 +437,11 @@ mod tests {
             shard.record_ns("only_in_shard", 5);
             p.absorb(&shard);
             jobs += shard_jobs;
+            timed += shard_jobs.div_ceil(HOT_SPAN_SAMPLE);
         }
         let s = p.stats("v").unwrap();
         assert_eq!(s.calls, 1 + jobs);
-        assert_eq!(s.timed, 1 + 2 + 1);
+        assert_eq!(s.timed, 1 + timed);
         assert_eq!(p.latency("v").unwrap().count(), s.timed);
         assert!(s.total_ns >= 1_000 && s.max_ns >= 1_000);
         assert_eq!(p.stats("only_in_shard").unwrap().calls, 2);
@@ -395,13 +451,100 @@ mod tests {
         assert_eq!(p.stats("v").unwrap().calls, 1 + jobs);
     }
 
+    /// The same text at an address of its own. A `const` string is
+    /// instantiated per using crate: the benchmark package reads
+    /// `phase::PAR_POP` at an address the driver never recorded under.
+    fn elsewhere(name: &str) -> &'static str {
+        let copy: &'static str = Box::leak(String::from(name).into_boxed_str());
+        assert!(!std::ptr::eq(copy, name));
+        copy
+    }
+
+    #[test]
+    fn absorb_matches_phases_by_name_not_by_slot() {
+        // The shard met the phases in the opposite order, and one of them
+        // at another address.
+        let verify_elsewhere = elsewhere(phase::FWD_VERIFY);
+        let mut p = Profiler::enabled();
+        p.record_ns(phase::FWD_FORWARD, 10);
+        p.record_ns(phase::FWD_VERIFY, 20);
+        let mut shard = Profiler::enabled();
+        shard.record_ns(verify_elsewhere, 200);
+        shard.record_ns(phase::FWD_DELIVER, 300);
+        shard.record_ns(phase::FWD_FORWARD, 100);
+        p.absorb(&shard);
+        let row = |name| {
+            let s = p.stats(name).unwrap();
+            (
+                s.calls,
+                s.total_ns,
+                s.max_ns,
+                p.latency(name).unwrap().count(),
+            )
+        };
+        assert_eq!(row(phase::FWD_FORWARD), (2, 110, 100, 2));
+        assert_eq!(row(phase::FWD_VERIFY), (2, 220, 200, 2));
+        assert_eq!(row(phase::FWD_DELIVER), (1, 300, 300, 1));
+        assert_eq!(p.phases().count(), 3);
+    }
+
+    #[test]
+    fn one_name_at_two_addresses_is_one_phase() {
+        let copy = elsewhere(phase::FWD_VERIFY);
+        let mut p = Profiler::enabled();
+        for name in [phase::FWD_VERIFY, copy, phase::FWD_VERIFY] {
+            let span = p.hot_span(name);
+            p.finish(span);
+            p.record_ns(name, 7);
+            drop(p.scope(name));
+        }
+        assert_eq!(p.phases().count(), 1);
+        for name in [phase::FWD_VERIFY, copy] {
+            let s = p.stats(name).unwrap();
+            // Three hot spans (the first timed), three records, three scopes.
+            assert_eq!((s.calls, s.timed), (9, 7));
+            assert_eq!(p.latency(name).unwrap().count(), 7);
+        }
+        // A prefix of a recorded name is another phase.
+        let prefix: &'static str = &phase::FWD_VERIFY[..9];
+        assert!(p.stats(prefix).is_none());
+        p.record_ns(prefix, 1);
+        assert_eq!(p.stats(prefix).unwrap().calls, 1);
+        assert_eq!(p.stats(phase::FWD_VERIFY).unwrap().calls, 9);
+    }
+
+    #[test]
+    fn a_hot_span_keeps_its_slot_while_other_phases_appear() {
+        // `forward_instrumented` opens the verify span inside the hop
+        // span; on a fresh handle that is the first use of both.
+        let mut p = Profiler::enabled();
+        let hop = p.hot_span(phase::FWD_FORWARD);
+        for name in [phase::FWD_VERIFY, phase::FWD_DELIVER, phase::COMBINATION] {
+            let inner = p.hot_span(name);
+            p.finish(inner);
+        }
+        p.finish(hop);
+        for (_, s) in p.phases() {
+            assert_eq!((s.calls, s.timed), (1, 1));
+        }
+        assert_eq!(p.phases().count(), 4);
+    }
+
     #[test]
     fn phases_iterate_in_name_order() {
+        // Whatever the first-use order, and however the phase was opened.
         let mut p = Profiler::enabled();
         p.record_ns("z", 1);
+        let span = p.hot_span(phase::FWD_VERIFY);
+        p.finish(span);
         p.record_ns("a", 1);
-        p.record_ns("m", 1);
+        let span = p.hot_span(phase::FWD_FORWARD);
+        p.finish(span);
+        drop(p.scope("m"));
         let names: Vec<_> = p.phases().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["a", "m", "z"]);
+        assert_eq!(
+            names,
+            vec!["a", phase::FWD_FORWARD, phase::FWD_VERIFY, "m", "z"]
+        );
     }
 }

@@ -7,8 +7,12 @@
 //! When tracing is off ([`TraceSink::disabled`]) the hot path pays exactly
 //! one predictable branch: [`TraceSink::emit_with`] takes the record as a
 //! closure, so a disabled sink never even constructs the record.
-
-use std::collections::VecDeque;
+//!
+//! The ring is a `Vec` that grows by `push` until it holds `capacity`
+//! records — it is never sized up front: a full default ring is 84 MB and
+//! most runs emit far fewer — and from then on the oldest record is
+//! overwritten where it lies. Nothing is moved out and nothing is freed:
+//! a record at capacity costs the one 80-byte store.
 
 use scion_types::{IsdAsn, SimTime};
 use serde::Serialize;
@@ -226,7 +230,11 @@ pub struct TraceRecord {
 pub struct TraceSink {
     enabled: bool,
     capacity: usize,
-    records: VecDeque<TraceRecord>,
+    /// At most `capacity` records; in emission order until the ring is
+    /// full, from then on rotated so that the oldest sits at `head`.
+    records: Vec<TraceRecord>,
+    /// Where the next record goes once the ring is full; 0 until then.
+    head: usize,
     emitted: u64,
     dropped: u64,
 }
@@ -254,7 +262,8 @@ impl TraceSink {
         TraceSink {
             enabled: false,
             capacity: 0,
-            records: VecDeque::new(),
+            records: Vec::new(),
+            head: 0,
             emitted: 0,
             dropped: 0,
         }
@@ -266,7 +275,8 @@ impl TraceSink {
         TraceSink {
             enabled: true,
             capacity: capacity.max(1),
-            records: VecDeque::new(),
+            records: Vec::new(),
+            head: 0,
             emitted: 0,
             dropped: 0,
         }
@@ -289,21 +299,28 @@ impl TraceSink {
         if !self.enabled {
             return;
         }
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(TraceRecord {
+        let record = TraceRecord {
             run,
             t_us: now.as_micros(),
             event: build(),
-        });
+        };
+        if self.records.len() < self.capacity {
+            self.records.push(record);
+        } else {
+            self.records[self.head] = record;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
+            self.dropped += 1;
+        }
         self.emitted += 1;
     }
 
     /// The retained records, oldest first.
     pub fn records(&self) -> impl Iterator<Item = &TraceRecord> + '_ {
-        self.records.iter()
+        let (newer, older) = self.records.split_at(self.head);
+        older.iter().chain(newer)
     }
 
     /// Total records ever emitted (including since-dropped ones).
@@ -329,7 +346,80 @@ impl TraceSink {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The parent commit's sink, verbatim: a `VecDeque` that pops its front
+    /// to make room. Kept as the oracle for the ring overwritten in place.
+    mod reference {
+        use std::collections::VecDeque;
+
+        use scion_types::SimTime;
+
+        use super::super::{TraceEvent, TraceRecord};
+
+        pub struct TraceSink {
+            enabled: bool,
+            capacity: usize,
+            records: VecDeque<TraceRecord>,
+            emitted: u64,
+            dropped: u64,
+        }
+
+        impl TraceSink {
+            pub fn ring(capacity: usize) -> TraceSink {
+                TraceSink {
+                    enabled: true,
+                    capacity: capacity.max(1),
+                    records: VecDeque::new(),
+                    emitted: 0,
+                    dropped: 0,
+                }
+            }
+
+            pub fn emit_with(
+                &mut self,
+                run: &'static str,
+                now: SimTime,
+                build: impl FnOnce() -> TraceEvent,
+            ) {
+                if !self.enabled {
+                    return;
+                }
+                if self.records.len() == self.capacity {
+                    self.records.pop_front();
+                    self.dropped += 1;
+                }
+                self.records.push_back(TraceRecord {
+                    run,
+                    t_us: now.as_micros(),
+                    event: build(),
+                });
+                self.emitted += 1;
+            }
+
+            pub fn records(&self) -> impl Iterator<Item = &TraceRecord> + '_ {
+                self.records.iter()
+            }
+
+            pub fn emitted(&self) -> u64 {
+                self.emitted
+            }
+
+            pub fn dropped(&self) -> u64 {
+                self.dropped
+            }
+
+            pub fn len(&self) -> usize {
+                self.records.len()
+            }
+
+            pub fn is_empty(&self) -> bool {
+                self.records.is_empty()
+            }
+        }
+    }
 
     fn ev(seq: u32) -> TraceEvent {
         TraceEvent::PcbOriginated {
@@ -365,6 +455,39 @@ mod tests {
             .collect();
         assert_eq!(seqs, vec![2, 3, 4]);
         assert_eq!(sink.records().next().unwrap().t_us, 2);
+    }
+
+    proptest! {
+        // Capacity 1, non-powers of two and several laps of the ring; the
+        // two sinks are compared after every emit, so a wrong wrap shows at
+        // the emit that makes it.
+        #[test]
+        fn ring_matches_the_deque_it_replaced(capacity in 1usize..=9, emits in 0u32..=40) {
+            let mut ring = TraceSink::ring(capacity);
+            let mut deque = reference::TraceSink::ring(capacity);
+            prop_assert!(ring.is_empty() && deque.is_empty());
+            for seq in 0..emits {
+                let now = SimTime::from_micros(u64::from(seq) * 3);
+                ring.emit_with("r", now, || ev(seq));
+                deque.emit_with("r", now, || ev(seq));
+                let kept: Vec<&TraceRecord> = ring.records().collect();
+                let expected: Vec<&TraceRecord> = deque.records().collect();
+                prop_assert_eq!(kept, expected, "capacity {} after emit {}", capacity, seq);
+                prop_assert_eq!(ring.len(), deque.len());
+                prop_assert_eq!(ring.is_empty(), deque.is_empty());
+                prop_assert_eq!(ring.emitted(), deque.emitted());
+                prop_assert_eq!(ring.dropped(), deque.dropped());
+            }
+        }
+    }
+
+    #[test]
+    fn a_ring_is_not_sized_until_it_is_filled() {
+        // `peak_live_mb` is gated and a full default ring is 84 MB.
+        let mut sink = TraceSink::ring(DEFAULT_TRACE_CAPACITY);
+        assert_eq!(sink.records.capacity(), 0);
+        sink.emit_with("r", SimTime::ZERO, || ev(0));
+        assert!(sink.records.capacity() < 64);
     }
 
     #[test]
