@@ -16,6 +16,17 @@
 //! junction that does not fit, so the combiners decide everything — roles,
 //! orientation, junctions, loop freedom, interfaces — on the segments' own
 //! entries, borrowed, and allocate once, for a path they return.
+//!
+//! Each combiner is one body that ends in a path vetted but not yet written,
+//! and comes in two forms over it: the owning one above, and an `_into` one
+//! ([`combine_paths_into`], [`shortcut_path_into`], [`peering_path_into`])
+//! that appends the hops to the caller's buffer. A daemon drops two fifths
+//! of what it finds as duplicates of another candidate's link sequence; it
+//! collects all of them in one buffer, orders them there by
+//! [`hop_preference`] — the rule behind [`EndToEndPath::preference`] — and
+//! allocates for the survivors only.
+
+use std::cmp::Ordering;
 
 use serde::{Deserialize, Serialize};
 
@@ -74,6 +85,22 @@ fn missing_interface(
     }
 }
 
+/// The inter-domain links a hop sequence crosses, as `(near, far)`
+/// interface pairs.
+fn hop_links(hops: &[TraversalHop]) -> impl Iterator<Item = (LinkEnd, LinkEnd)> + Clone + '_ {
+    hops.windows(2)
+        .map(|w| (LinkEnd::new(w[0].0, w[0].2), LinkEnd::new(w[1].0, w[1].1)))
+}
+
+/// [`EndToEndPath::preference`] on bare hop sequences — the one rule, for
+/// a caller that orders candidates before any of them is an
+/// [`EndToEndPath`].
+pub fn hop_preference(a: &[TraversalHop], b: &[TraversalHop]) -> Ordering {
+    a.len()
+        .cmp(&b.len())
+        .then_with(|| hop_links(a).cmp(hop_links(b)))
+}
+
 impl EndToEndPath {
     /// AS-level path, source first.
     pub fn as_path(&self) -> Vec<IsdAsn> {
@@ -99,18 +126,14 @@ impl EndToEndPath {
     /// the hops as the iterator advances, so paths can be compared, ordered
     /// and probed for a link without copying anything.
     pub fn links_iter(&self) -> impl Iterator<Item = (LinkEnd, LinkEnd)> + Clone + '_ {
-        self.hops
-            .windows(2)
-            .map(|w| (LinkEnd::new(w[0].0, w[0].2), LinkEnd::new(w[1].0, w[1].1)))
+        hop_links(&self.hops)
     }
 
     /// The order daemons keep their paths in: fewest hops first, equally
     /// long paths by their link sequence. Two paths compare equal exactly
-    /// when they cross the same links.
-    pub fn preference(&self, other: &EndToEndPath) -> std::cmp::Ordering {
-        self.len()
-            .cmp(&other.len())
-            .then_with(|| self.links_iter().cmp(other.links_iter()))
+    /// when they cross the same links. [`hop_preference`] on the hops.
+    pub fn preference(&self, other: &EndToEndPath) -> Ordering {
+        hop_preference(&self.hops, &other.hops)
     }
 
     /// Number of AS hops.
@@ -253,11 +276,37 @@ fn walk(runs: &[Run<'_>], seams: &[Seam], mut emit: impl FnMut(TraversalHop)) {
     }
 }
 
-/// Builds the path `runs` and `seams` describe if it is well-formed — what
-/// [`EndToEndPath::check`] accepts: no AS twice, interior interfaces
-/// present. Both are decided on the borrowed entries; only a path that
-/// passes is allocated, at its exact size, and written once.
-fn assemble(runs: &[Run<'_>], seams: &[Seam]) -> Option<EndToEndPath> {
+/// A path that passed [`vet`], not yet written anywhere: the combiners
+/// hand it to their caller's sink, which decides where the hops go.
+struct Vetted<'r, 'a> {
+    runs: &'r [Run<'a>],
+    seams: &'r [Seam],
+    len: usize,
+}
+
+impl Vetted<'_, '_> {
+    /// Appends the path's hops to `out`.
+    fn append_to(&self, out: &mut Vec<TraversalHop>) {
+        let start = out.len();
+        out.reserve(self.len);
+        walk(self.runs, self.seams, |hop| out.push(hop));
+        debug_assert_eq!(out.len() - start, self.len);
+    }
+
+    /// The path, allocated at its exact size and written once.
+    fn into_path(self) -> EndToEndPath {
+        let mut hops = Vec::with_capacity(self.len);
+        self.append_to(&mut hops);
+        let path = EndToEndPath { hops };
+        debug_assert_eq!(path.check(), Ok(()));
+        path
+    }
+}
+
+/// Decides whether the path `runs` and `seams` describe is well-formed —
+/// what [`EndToEndPath::check`] accepts: no AS twice, interior interfaces
+/// present. Both are decided on the borrowed entries; nothing is written.
+fn vet<'r, 'a>(runs: &'r [Run<'a>], seams: &'r [Seam]) -> Option<Vetted<'r, 'a>> {
     debug_assert_eq!(seams.len() + 1, runs.len());
     // A junction AS is in both its runs and once on the path: leave it out
     // of the later run.
@@ -284,16 +333,7 @@ fn assemble(runs: &[Run<'_>], seams: &[Seam]) -> Option<EndToEndPath> {
         complete &= missing_interface(i, len, hop).is_none();
         i += 1;
     });
-    if !complete {
-        return None;
-    }
-
-    let mut hops = Vec::with_capacity(len);
-    walk(runs, seams, |hop| hops.push(hop));
-    debug_assert_eq!(hops.len(), len);
-    let path = EndToEndPath { hops };
-    debug_assert_eq!(path.check(), Ok(()));
-    Some(path)
+    complete.then_some(Vetted { runs, seams, len })
 }
 
 /// Combines up to three segments into an end-to-end path.
@@ -314,6 +354,27 @@ pub fn combine_paths(
     core: Option<&PathSegment>,
     down: Option<&PathSegment>,
 ) -> Result<EndToEndPath, CombineError> {
+    combine_with(up, core, down, |path| path.into_path())
+}
+
+/// [`combine_paths`] for a caller that keeps many candidates in one buffer:
+/// the path's hops are appended to `out`, which is left as it was when the
+/// combination fails.
+pub fn combine_paths_into(
+    up: Option<&PathSegment>,
+    core: Option<&PathSegment>,
+    down: Option<&PathSegment>,
+    out: &mut Vec<TraversalHop>,
+) -> Result<(), CombineError> {
+    combine_with(up, core, down, |path| path.append_to(out))
+}
+
+fn combine_with<T>(
+    up: Option<&PathSegment>,
+    core: Option<&PathSegment>,
+    down: Option<&PathSegment>,
+    sink: impl FnOnce(Vetted<'_, '_>) -> T,
+) -> Result<T, CombineError> {
     let mut runs = [Run::forward(&[]); MAX_RUNS];
     let mut n = 0;
 
@@ -365,7 +426,9 @@ pub fn combine_paths(
     if n == 0 {
         return Err(CombineError::Disconnected);
     }
-    assemble(&runs[..n], &[Seam::Junction; MAX_RUNS - 1][..n - 1]).ok_or(CombineError::Disconnected)
+    vet(&runs[..n], &[Seam::Junction; MAX_RUNS - 1][..n - 1])
+        .map(sink)
+        .ok_or(CombineError::Disconnected)
 }
 
 /// Builds a shortcut path: up and down segments crossing over at a common
@@ -374,6 +437,23 @@ pub fn combine_paths(
 /// Picks the crossover closest to the leaves (the latest common AS in the
 /// up traversal), which yields the shortest shortcut.
 pub fn shortcut_path(up: &PathSegment, down: &PathSegment) -> Result<EndToEndPath, CombineError> {
+    shortcut_with(up, down, |path| path.into_path())
+}
+
+/// [`shortcut_path`], appending to `out` like [`combine_paths_into`].
+pub fn shortcut_path_into(
+    up: &PathSegment,
+    down: &PathSegment,
+    out: &mut Vec<TraversalHop>,
+) -> Result<(), CombineError> {
+    shortcut_with(up, down, |path| path.append_to(out))
+}
+
+fn shortcut_with<T>(
+    up: &PathSegment,
+    down: &PathSegment,
+    sink: impl FnOnce(Vetted<'_, '_>) -> T,
+) -> Result<T, CombineError> {
     if up.seg_type == SegmentType::Core || down.seg_type == SegmentType::Core {
         return Err(CombineError::WrongSegmentType);
     }
@@ -392,10 +472,11 @@ pub fn shortcut_path(up: &PathSegment, down: &PathSegment) -> Result<EndToEndPat
         })
         .ok_or(CombineError::NoCommonAs)?;
     // Up to the crossover, then leave it the way the down segment does.
-    assemble(
+    vet(
         &[Run::reversed(&ups[u..]), Run::forward(&downs[d..])],
         &[Seam::Junction],
     )
+    .map(sink)
     .ok_or(CombineError::NoCommonAs)
 }
 
@@ -404,6 +485,23 @@ pub fn shortcut_path(up: &PathSegment, down: &PathSegment) -> Result<EndToEndPat
 /// segments advertise (§2.3). The path ascends to `u`, crosses the peering
 /// link, and descends from `d`.
 pub fn peering_path(up: &PathSegment, down: &PathSegment) -> Result<EndToEndPath, CombineError> {
+    peering_with(up, down, |path| path.into_path())
+}
+
+/// [`peering_path`], appending to `out` like [`combine_paths_into`].
+pub fn peering_path_into(
+    up: &PathSegment,
+    down: &PathSegment,
+    out: &mut Vec<TraversalHop>,
+) -> Result<(), CombineError> {
+    peering_with(up, down, |path| path.append_to(out))
+}
+
+fn peering_with<T>(
+    up: &PathSegment,
+    down: &PathSegment,
+    sink: impl FnOnce(Vetted<'_, '_>) -> T,
+) -> Result<T, CombineError> {
     if up.seg_type == SegmentType::Core || down.seg_type == SegmentType::Core {
         return Err(CombineError::WrongSegmentType);
     }
@@ -431,11 +529,11 @@ pub fn peering_path(up: &PathSegment, down: &PathSegment) -> Result<EndToEndPath
                     egress: upe.hop.ingress,
                     ingress: upe.peer_if,
                 };
-                if let Some(path) = assemble(
+                if let Some(path) = vet(
                     &[Run::reversed(&ups[u..]), Run::forward(&downs[d..])],
                     &[crossing],
                 ) {
-                    return Ok(path);
+                    return Ok(sink(path));
                 }
             }
         }
@@ -763,8 +861,46 @@ mod tests {
             (0..ases.len()).all(|i| !ases[..i].contains(&ases[i]))
         }
 
+        /// Any hop list at all — the order has to hold on more than the
+        /// combiners produce — over so few values that two of three often
+        /// cross the same links.
+        fn any_path() -> impl Strategy<Value = Vec<(u64, u16, u16)>> {
+            proptest::collection::vec((1u64..3, 0u16..2, 0u16..2), 0..6)
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+            /// `preference` is a total order — comparing the other way
+            /// round reverses the answer, and it carries across a middle
+            /// path — whose `Equal` is "as long, over the same links":
+            /// interfaces no link uses (the first ingress, the last egress)
+            /// do not tell paths apart. `hop_preference` is the same rule.
+            #[test]
+            fn prop_preference_is_a_total_order_on_link_sequences(
+                a in any_path(),
+                b in any_path(),
+                c in any_path(),
+            ) {
+                let path = |hops: &[(u64, u16, u16)]| EndToEndPath {
+                    hops: hops.iter().map(|&(asn, i, e)| (ia(1, asn), IfId(i), IfId(e))).collect(),
+                };
+                let (a, b, c) = (path(&a), path(&b), path(&c));
+                prop_assert_eq!(a.preference(&b), b.preference(&a).reverse());
+                prop_assert_eq!(a.preference(&a), Ordering::Equal);
+                if a.preference(&b).is_le() && b.preference(&c).is_le() {
+                    prop_assert!(a.preference(&c).is_le());
+                    if a.preference(&c).is_eq() {
+                        prop_assert!(a.preference(&b).is_eq() && b.preference(&c).is_eq());
+                    }
+                }
+                prop_assert_eq!(
+                    a.preference(&b).is_eq(),
+                    a.len() == b.len() && a.links() == b.links()
+                );
+                prop_assert_eq!(a.preference(&b), (a.len(), a.links()).cmp(&(b.len(), b.links())));
+                prop_assert_eq!(a.preference(&b), hop_preference(&a.hops, &b.hops));
+            }
 
             /// The borrowing combiners return what the copying ones do —
             /// the same path or the same error — and every path returned is
@@ -790,6 +926,23 @@ mod tests {
                 prop_assert_eq!(&shortcut, &reference::shortcut_path(&up, &down));
                 let peering = peering_path(&up, &down);
                 prop_assert_eq!(&peering, &reference::peering_path(&up, &down));
+
+                // The appending forms put those very hops behind what the
+                // buffer holds, and nothing when there is no path.
+                let held = (ia(2, 9), IfId(7), IfId(7));
+                let behind = |owned: &Result<EndToEndPath, CombineError>| {
+                    let hops = owned.iter().flat_map(|path| &path.hops);
+                    std::iter::once(&held).chain(hops).copied().collect::<Vec<_>>()
+                };
+                let mut out = vec![held];
+                let appended = combine_paths_into(u, c, d, &mut out);
+                prop_assert_eq!((appended, out), (combined.clone().map(drop), behind(&combined)));
+                let mut out = vec![held];
+                let appended = shortcut_path_into(&up, &down, &mut out);
+                prop_assert_eq!((appended, out), (shortcut.clone().map(drop), behind(&shortcut)));
+                let mut out = vec![held];
+                let appended = peering_path_into(&up, &down, &mut out);
+                prop_assert_eq!((appended, out), (peering.clone().map(drop), behind(&peering)));
 
                 if let Ok(path) = &combined {
                     // Up-segments are left at their origin, a core segment

@@ -88,6 +88,15 @@ impl PathSegment {
         &self.pcb
     }
 
+    /// True when `other` is this segment handed over again: the same
+    /// allocation of the same beacon, in the same role. A beacon never
+    /// changes behind its [`Arc`], so whatever was derived from the one
+    /// holds for the other; equal content under another allocation is not
+    /// recognised (compare with `==` for that).
+    pub fn same_beacon(&self, other: &PathSegment) -> bool {
+        self.seg_type == other.seg_type && Arc::ptr_eq(&self.pcb, &other.pcb)
+    }
+
     /// The initiating core AS.
     pub fn origin(&self) -> IsdAsn {
         self.pcb.origin
