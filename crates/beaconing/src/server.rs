@@ -4,8 +4,11 @@
 //! The beacon server decides which PCBs to propagate on which interfaces
 //! based on AS-local policies").
 
+use std::collections::HashMap;
+
 use scion_crypto::trc::TrustStore;
-use scion_proto::pcb::{Pcb, PcbError};
+use scion_proto::hopfield::HopField;
+use scion_proto::pcb::{forwarding_key, Extender, Pcb, PcbError, PeerEntry};
 use scion_telemetry::{ids, phase, Label, Telemetry, TraceEvent};
 use scion_topology::{AsIndex, AsTopology, LinkIndex};
 use scion_types::{Duration, IfId, IsdAsn, SimTime};
@@ -367,6 +370,8 @@ impl BeaconServer {
 
         let mut origination_ns = 0u64;
         let mut sends = Vec::with_capacity(picks.len());
+        let mut extensions: HashMap<*const StoredBeacon, (Extender<'_>, Vec<PeerEntry>)> =
+            HashMap::new();
         for pick in picks {
             let (pcb, kind) = match pick.source {
                 PickSource::Originate => {
@@ -387,25 +392,27 @@ impl BeaconServer {
                     (pcb, SendKind::Originated { seq })
                 }
                 PickSource::Stored(b) => {
-                    let peers = peer_links
-                        .iter()
-                        .map(|p| scion_proto::pcb::PeerEntry {
-                            peer: p.neighbor_ia,
-                            peer_if: {
-                                let (_, _, remote_if) = topo.link(p.link).opposite(self.idx);
-                                remote_if
-                            },
-                            hop: scion_proto::hopfield::HopField::new(
-                                p.local_if,
-                                scion_types::IfId::NONE,
-                                b.pcb.expires_at,
-                                scion_proto::pcb::forwarding_key(self.ia),
-                            ),
-                        })
-                        .collect();
-                    let pcb =
-                        b.pcb
-                            .extend(self.ia, b.ingress_if, pick.egress.local_if, peers, trust);
+                    // What the copies of one stored beacon share — the
+                    // signed prefix and the peer entries, which depend on
+                    // the beacon's expiry, not on the egress — is made
+                    // once per interval, at the beacon's first pick.
+                    let (extender, peers) = extensions.entry(b as *const _).or_insert_with(|| {
+                        let peers: Vec<PeerEntry> = peer_links
+                            .iter()
+                            .map(|p| PeerEntry {
+                                peer: p.neighbor_ia,
+                                peer_if: topo.link(p.link).opposite(self.idx).2,
+                                hop: HopField::new(
+                                    p.local_if,
+                                    IfId::NONE,
+                                    b.pcb.expires_at,
+                                    forwarding_key(self.ia),
+                                ),
+                            })
+                            .collect();
+                        (b.pcb.extender(self.ia, b.ingress_if, trust), peers)
+                    });
+                    let pcb = extender.extend(pick.egress.local_if, peers.clone());
                     let kind = SendKind::Propagated {
                         origin: pcb.origin,
                         hops: pcb.hop_count() as u32,
@@ -667,6 +674,73 @@ mod tests {
             assert_eq!(p.pcb.validate(&tr, t(601)), Ok(()));
             assert!(p.bytes > 0);
         }
+    }
+
+    /// One extender and one peer list serve all of a stored beacon's
+    /// egresses, picks of two beacons interleaved: every send is the beacon
+    /// `Pcb::extend` makes for that egress alone, in selection order.
+    #[test]
+    fn sends_sharing_an_extender_equal_single_extensions() {
+        let topo = triangle();
+        let tr = trust(&topo);
+        let (a, b, c) = (
+            topo.by_address(ia(1)).unwrap(),
+            topo.by_address(ia(2)).unwrap(),
+            topo.by_address(ia(3)).unwrap(),
+        );
+        let mut srv_b = BeaconServer::new(&topo, b, BeaconingConfig::default());
+        for (from, origin) in [(a, ia(1)), (c, ia(3))] {
+            for (seq, &link) in topo.links_between(from, b).iter().enumerate() {
+                let (_, from_if, _) = topo.link(link).opposite(from);
+                let pcb = Pcb::originate(
+                    origin,
+                    from_if,
+                    t(0),
+                    Duration::from_hours(6),
+                    seq as u32,
+                    &tr,
+                );
+                srv_b.handle_beacon(pcb, link, &topo, &tr, t(1)).unwrap();
+            }
+        }
+        let egress = core_egress(&topo, b);
+        let peer_links = &egress[..2];
+        let out = srv_b.run_interval_outcome(&topo, &tr, t(600), &egress, false, peer_links, false);
+
+        let stored: Vec<&StoredBeacon> = [ia(1), ia(3)]
+            .iter()
+            .flat_map(|&origin| srv_b.store().beacons_of(origin, t(600)))
+            .collect();
+        let mut sends_of = vec![0; stored.len()];
+        for (send, _) in &out.sends {
+            let (ingress, egress_if) = {
+                let e = send.pcb.entries.last().unwrap();
+                (e.hop.ingress, e.hop.egress)
+            };
+            assert_eq!(egress_if, send.egress_if);
+            let from = stored
+                .iter()
+                .position(|s| s.ingress_if == ingress && s.pcb.origin == send.pcb.origin)
+                .unwrap();
+            sends_of[from] += 1;
+            let peers = send.pcb.entries.last().unwrap().peers.clone();
+            assert_eq!(peers.len(), 2);
+            assert_eq!(
+                send.pcb,
+                stored[from]
+                    .pcb
+                    .extend(ia(2), ingress, egress_if, peers, &tr)
+            );
+            assert_eq!(send.pcb.validate(&tr, t(601)), Ok(()));
+        }
+        assert!(
+            sends_of.iter().any(|&n| n > 1),
+            "no beacon left through two egresses: {sends_of:?}"
+        );
+        let order: Vec<IfId> = out.sends.iter().map(|(s, _)| s.egress_if).collect();
+        let mut by_interface = order.clone();
+        by_interface.sort_by_key(|i| egress.iter().position(|e| e.local_if == *i));
+        assert_eq!(order, by_interface, "sends stay interface-major");
     }
 
     #[test]

@@ -35,7 +35,8 @@ pub struct ScaleParams {
     pub quality_pairs: usize,
     /// Whether beacon receivers run full signature validation (always on
     /// in production; optional only to keep the largest byte-accounting
-    /// runs fast).
+    /// runs fast: on, the `scaling` row's one-worker run takes ×1.41 the
+    /// wall of the same run with it off — 128 s against 90 s at PR 23).
     pub verify_on_receive: bool,
     /// Master seed.
     pub seed: u64,

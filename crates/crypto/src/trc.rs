@@ -15,7 +15,9 @@ use std::collections::HashMap;
 
 use scion_types::{Isd, IsdAsn, SimTime};
 
-use crate::sim::{KeyPair, Midstate, PublicKey, SignDomain, Signature};
+use crate::sim::{
+    verify_prefixes, KeyPair, Midstate, PrefixClaim, PublicKey, SignDomain, Signature, LOCKSTEP,
+};
 
 /// A Trust Root Configuration for one ISD.
 #[derive(Clone, Debug)]
@@ -242,6 +244,20 @@ impl TrustStore {
         self.trcs.get(&isd).map(|filed| &filed.trc)
     }
 
+    /// The record of `signer` if its certificate stands at `now`: on file,
+    /// not expired, chained to its ISD's TRC — refused in that order.
+    fn standing(&self, signer: IsdAsn, now: SimTime) -> Result<&Signer, VerifyError> {
+        let record = self
+            .signers
+            .get(&signer)
+            .ok_or(VerifyError::UnknownAs(signer))?;
+        if now > record.cert.not_after {
+            return Err(VerifyError::CertificateExpired);
+        }
+        record.chain.clone()?;
+        Ok(record)
+    }
+
     /// Verifies `sig` over `payload` as produced by `signer` at time `now`
     /// along the full chain: artifact signature → signer certificate →
     /// issuer in the signer's ISD TRC. The last leg does not depend on
@@ -255,14 +271,7 @@ impl TrustStore {
         sig: &Signature,
         now: SimTime,
     ) -> Result<(), VerifyError> {
-        let record = self
-            .signers
-            .get(&signer)
-            .ok_or(VerifyError::UnknownAs(signer))?;
-        if now > record.cert.not_after {
-            return Err(VerifyError::CertificateExpired);
-        }
-        record.chain.clone()?;
+        let record = self.standing(signer, now)?;
         let key = match domain {
             SignDomain::PcbAsEntry => record.pcb_entry,
             _ => Midstate::new(&record.cert.subject_key, domain),
@@ -271,6 +280,56 @@ impl TrustStore {
             return Err(VerifyError::BadSignature);
         }
         Ok(())
+    }
+
+    /// [`TrustStore::verify_chain`] under [`SignDomain::PcbAsEntry`] for
+    /// every entry of a beacon, reading the beacon's bytes once per three
+    /// entries (`sim::LOCKSTEP`) instead of once per entry. `entries` yields, in
+    /// order, each entry's signer, the offset in `serialized` at which what
+    /// it signed ends (ascending: every entry signs the beacon up to
+    /// itself), and its signature. The error is the one the first failing
+    /// entry would get from `verify_chain`, with that entry's position.
+    pub fn verify_entry_chain<'a>(
+        &self,
+        serialized: &[u8],
+        entries: impl IntoIterator<Item = (IsdAsn, usize, &'a Signature)>,
+        now: SimTime,
+    ) -> Result<(), (usize, VerifyError)> {
+        let mut entries = entries.into_iter();
+        let mut verified = 0;
+        loop {
+            // The next signers whose certificates stand, up to the first
+            // that is refused; its error waits for their signatures.
+            let mut refused = None;
+            let mut resolved = 0;
+            let claims: [Option<PrefixClaim<'a>>; LOCKSTEP] = std::array::from_fn(|_| {
+                if refused.is_some() {
+                    return None;
+                }
+                let (signer, end, sig) = entries.next()?;
+                match self.standing(signer, now) {
+                    Ok(record) => {
+                        resolved += 1;
+                        let key = record.pcb_entry;
+                        Some(PrefixClaim { key, end, sig })
+                    }
+                    Err(e) => {
+                        refused = Some(e);
+                        None
+                    }
+                }
+            });
+            if let Some(bad) = verify_prefixes(serialized, &claims) {
+                return Err((verified + bad, VerifyError::BadSignature));
+            }
+            verified += resolved;
+            if let Some(e) = refused {
+                return Err((verified, e));
+            }
+            if resolved < LOCKSTEP {
+                return Ok(());
+            }
+        }
     }
 }
 
@@ -443,15 +502,32 @@ mod tests {
         }
     }
 
-    /// `sample_store` with the certificate of `ia(1, 10)` replaced by
-    /// `edit`'s version of it, admitted the way `bootstrap` admits.
+    /// Replaces the certificate of `subject` by `edit`'s version of it,
+    /// admitted the way `bootstrap` admits.
+    fn readmit(
+        s: &mut TrustStore,
+        subject: IsdAsn,
+        edit: impl FnOnce(&TrustStore, &mut AsCertificate),
+    ) {
+        let mut cert = s.cert_of(subject).unwrap().clone();
+        edit(s, &mut cert);
+        // No edit touches the subject key.
+        let pcb_entry = s.key_of(subject).unwrap().pcb_entry();
+        s.admit(cert, pcb_entry);
+    }
+
+    /// Signs `cert` as it now reads, by the issuer it now names.
+    fn reissue(s: &TrustStore, cert: &mut AsCertificate) {
+        let payload =
+            AsCertificate::signed_payload(cert.subject, &cert.subject_key, cert.not_after);
+        let issuer = s.key_of(cert.issuer).unwrap();
+        cert.signature = issuer.sign(SignDomain::AsCertificate, &payload);
+    }
+
+    /// `sample_store` with the certificate of `ia(1, 10)` edited.
     fn store_with(edit: impl FnOnce(&TrustStore, &mut AsCertificate)) -> TrustStore {
         let mut s = sample_store();
-        let mut cert = s.cert_of(ia(1, 10)).unwrap().clone();
-        edit(&s, &mut cert);
-        // No edit touches the subject key.
-        let pcb_entry = s.key_of(ia(1, 10)).unwrap().pcb_entry();
-        s.admit(cert, pcb_entry);
+        readmit(&mut s, ia(1, 10), edit);
         s
     }
 
@@ -504,12 +580,7 @@ mod tests {
         // Properly signed — by a core of another ISD.
         let s = store_with(|s, cert| {
             cert.issuer = ia(2, 1);
-            let payload =
-                AsCertificate::signed_payload(cert.subject, &cert.subject_key, cert.not_after);
-            cert.signature = s
-                .key_of(ia(2, 1))
-                .unwrap()
-                .sign(SignDomain::AsCertificate, &payload);
+            reissue(s, cert);
         });
         let e = Err(VerifyError::IssuerNotInTrc);
         assert_eq!(
@@ -528,6 +599,112 @@ mod tests {
         );
         // The certificate it was copied from is still on file and valid.
         assert_eq!(verdicts(&s, ia(1, 10))[0], Ok(()));
+    }
+
+    /// A store of sixteen signers `ia(1, 1..=16)` of which four cannot
+    /// sign for a beacon: 13's certificate lapses an hour in (reissued
+    /// properly, so that is all that is wrong with it), 14's carries a
+    /// flipped signature, 15's names an issuer outside the TRC — and 99 is
+    /// on nobody's file.
+    fn store_with_refused_signers() -> TrustStore {
+        let ases = (1..=16)
+            .map(|n| (ia(1, n), n <= 2))
+            .chain([(ia(2, 1), true)]);
+        let mut s = TrustStore::bootstrap(ases, SimTime::ZERO + Duration::from_hours(24));
+        readmit(&mut s, ia(1, 13), |s, cert| {
+            cert.not_after = SimTime::ZERO + Duration::from_hours(1);
+            reissue(s, cert);
+        });
+        readmit(&mut s, ia(1, 14), |_, cert| cert.signature.0[40] ^= 0x04);
+        readmit(&mut s, ia(1, 15), |s, cert| {
+            cert.issuer = ia(2, 1);
+            reissue(s, cert);
+        });
+        s
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+            /// Chains of 1–12 entries over one buffer, entry ends on every
+            /// residue mod 8, signers drawn from a store where some are
+            /// refused (unknown, expired, bad certificate, foreign issuer),
+            /// up to two signatures damaged, before and after the one
+            /// early expiry: the one-pass check returns what walking the
+            /// entries through the parent's `verify_chain` returns — the
+            /// first failing entry, a bad signature at `i` before a
+            /// certificate error at `j > i`.
+            #[test]
+            fn prop_entry_chain_matches_the_reference_walk(
+                buf in proptest::collection::vec(any::<u8>(), 64..=64),
+                entries in proptest::collection::vec((0u8..20, 1usize..40), 1..=12),
+                damaged in proptest::collection::vec((0usize..12, 0usize..96), 0..=2),
+                late in any::<bool>(),
+            ) {
+                let s = store_with_refused_signers();
+                // Mostly signers in good standing; 13–15 and 99 are not.
+                let signer = |pick: u8| match pick {
+                    0..=15 => ia(1, 1 + u64::from(pick) % 12),
+                    16..=18 => ia(1, u64::from(pick) - 3),
+                    _ => ia(1, 99),
+                };
+                let mut end = 0;
+                let ends: Vec<usize> = entries.iter().map(|&(_, gap)| { end += gap; end }).collect();
+                let buf: Vec<u8> = buf.iter().cycle().take(end).copied().collect();
+                let mut chain: Vec<(IsdAsn, usize, Signature)> = entries
+                    .iter()
+                    .zip(&ends)
+                    .map(|(&(pick, _), &end)| {
+                        // Whoever is named, a key on file signs: a refused
+                        // signer is refused for its certificate.
+                        let key = s.key_of(signer(pick)).or(s.key_of(ia(1, 1))).unwrap();
+                        (signer(pick), end, key.sign(SignDomain::PcbAsEntry, &buf[..end]))
+                    })
+                    .collect();
+                for &(entry, byte) in &damaged {
+                    let n = chain.len();
+                    chain[entry % n].2 .0[byte] ^= 0x20;
+                }
+                let now = SimTime::ZERO + Duration::from_mins(if late { 90 } else { 30 });
+                let want = chain.iter().enumerate().try_for_each(|(i, (signer, end, sig))| {
+                    reference::verify_chain(&s, *signer, SignDomain::PcbAsEntry, &buf[..*end], sig, now)
+                        .map_err(|e| (i, e))
+                });
+                let got = s.verify_entry_chain(
+                    &buf,
+                    chain.iter().map(|(signer, end, sig)| (*signer, *end, sig)),
+                    now,
+                );
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
+
+    /// The precedence the one-pass check must keep inside one walk: entry
+    /// 0's bad signature is reported although entry 1's signer is unknown,
+    /// and the unknown signer once entry 0 is whole.
+    #[test]
+    fn entry_chain_reports_the_earlier_bad_signature_first() {
+        let s = store_with_refused_signers();
+        let buf = [7u8; 50];
+        let good = s.key_of(ia(1, 3)).unwrap();
+        let sig0 = good.sign(SignDomain::PcbAsEntry, &buf[..21]);
+        let sig1 = good.sign(SignDomain::PcbAsEntry, &buf[..50]);
+        let mut bad0 = sig0;
+        bad0.0[95] ^= 1;
+        let verdict = |first: &Signature| {
+            s.verify_entry_chain(
+                &buf,
+                [(ia(1, 3), 21, first), (ia(1, 99), 50, &sig1)],
+                SimTime::ZERO,
+            )
+        };
+        assert_eq!(verdict(&bad0), Err((0, VerifyError::BadSignature)));
+        assert_eq!(verdict(&sig0), Err((1, VerifyError::UnknownAs(ia(1, 99)))));
     }
 
     #[test]

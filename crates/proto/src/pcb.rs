@@ -13,10 +13,22 @@
 //! so the final link's remote interface id is known only to the receiver
 //! (from the link it arrived on). Beacon stores therefore keep
 //! `(PCB, local ingress ifid)` pairs; see the beaconing crate.
+//!
+//! What entry *i* signs is the serialized beacon from its first byte to the
+//! end of entry *i*'s own fields, so everything signed is a prefix of one
+//! byte string. Both directions read that string once. Outward, the copies
+//! of a beacon sent through different egresses share all of it but the new
+//! entry: an [`Extender`] absorbs the shared part into the signer's hash
+//! state once (in pieces, which the signer's carry re-cuts into the words of
+//! a single payload) and signs each copy from a copy of that state. Inward,
+//! [`Pcb::validate`] serializes once and hands the entries' end offsets to
+//! [`TrustStore::verify_entry_chain`], where the entries' hash chains —
+//! which start at the same byte and share nothing but the bytes they read —
+//! advance together.
 
 use serde::{Deserialize, Serialize};
 
-use scion_crypto::sim::{SignDomain, Signature};
+use scion_crypto::sim::{SignDomain, Signature, Signing};
 use scion_crypto::trc::{TrustStore, VerifyError};
 use scion_types::{Duration, IfId, IsdAsn, LinkEnd, SimTime};
 
@@ -146,7 +158,7 @@ impl Pcb {
             segment_id,
             entries: Vec::new(),
         };
-        let signature = pcb.sign_next_entry(origin, &hop, &[], trust);
+        let signature = sign_entry(pcb.signing_by(origin, trust), origin, &hop, &[]);
         pcb.entries = vec![AsEntry {
             ia: origin,
             hop,
@@ -154,6 +166,33 @@ impl Pcb {
             signature,
         }];
         pcb
+    }
+
+    /// The signature of the entry `ia` would append, begun: header and
+    /// existing entries absorbed, the new entry's fields yet to come.
+    fn signing_by(&self, ia: IsdAsn, trust: &TrustStore) -> Signing {
+        let mut signing = trust
+            .key_of(ia)
+            .unwrap_or_else(|| panic!("no signing key for {ia}"))
+            .begin(SignDomain::PcbAsEntry);
+        signing.absorb(&self.header_bytes());
+        for e in &self.entries {
+            entry_pieces(e.ia, &e.hop, &e.peers, |piece| signing.absorb(piece));
+            signing.absorb(&e.signature.0);
+        }
+        signing
+    }
+
+    /// Prepares the extensions of this beacon by `ia`, which received it on
+    /// `ingress`: everything they share is read here, once.
+    pub fn extender(&self, ia: IsdAsn, ingress: IfId, trust: &TrustStore) -> Extender<'_> {
+        assert!(!ingress.is_none(), "extension requires a real ingress");
+        Extender {
+            pcb: self,
+            ia,
+            ingress,
+            prefix: self.signing_by(ia, trust),
+        }
     }
 
     /// Returns a copy of this beacon extended by `ia`, which received it on
@@ -166,102 +205,42 @@ impl Pcb {
         peers: Vec<PeerEntry>,
         trust: &TrustStore,
     ) -> Pcb {
-        assert!(!ingress.is_none(), "extension requires a real ingress");
-        let hop = HopField::new(ingress, egress, self.expires_at, forwarding_key(ia));
-        let signature = self.sign_next_entry(ia, &hop, &peers, trust);
-        // A beacon is extended once per egress it is propagated on and then
-        // only read: size the copy for the one entry it gains.
-        let mut entries = Vec::with_capacity(self.entries.len() + 1);
-        entries.extend_from_slice(&self.entries);
-        entries.push(AsEntry {
-            ia,
-            hop,
-            peers,
-            signature,
-        });
-        Pcb {
-            origin: self.origin,
-            initiated_at: self.initiated_at,
-            expires_at: self.expires_at,
-            segment_id: self.segment_id,
-            entries,
-        }
+        self.extender(ia, ingress, trust).extend(egress, peers)
     }
 
     /// Serialized size of the beacon header.
     const HEADER_LEN: usize = 2 + 8 + 8 + 8 + 4;
 
-    /// Serialized size of an entry's unsigned fields with `peers` peer
-    /// entries (see [`Pcb::push_entry_bytes`]).
-    const fn unsigned_len(peers: usize) -> usize {
-        (2 + 8 + 2 + 2 + 8 + 6) + peers * (2 + 8 + 2 + 6)
+    /// Per entry, in order: its signer, the offset in the serialized beacon
+    /// at which what it signed ends, and its signature. An entry signs the
+    /// header, every earlier entry with its signature, and its own unsigned
+    /// fields; hash chaining over the serialized prefix mirrors real SCION,
+    /// where each signature covers all preceding entries.
+    fn signed_ends(&self) -> impl Iterator<Item = (IsdAsn, usize, &Signature)> {
+        self.entries.iter().scan(Self::HEADER_LEN, |start, e| {
+            let end = *start + ENTRY_LEN + e.peers.len() * PEER_LEN;
+            *start = end + Signature::WIRE_SIZE;
+            Some((e.ia, end, &e.signature))
+        })
     }
 
-    /// Length of the byte string signed by the entry that follows `prefix`
-    /// and advertises `peers` peer entries: the header, every entry of
-    /// `prefix` with its signature, and the new entry's unsigned fields.
-    /// Hash chaining over the serialized prefix mirrors real SCION, where
-    /// each signature covers all preceding entries.
-    fn payload_len(prefix: &[AsEntry], peers: usize) -> usize {
-        let signed: usize = prefix
-            .iter()
-            .map(|e| Self::unsigned_len(e.peers.len()) + Signature::WIRE_SIZE)
-            .sum();
-        Self::HEADER_LEN + signed + Self::unsigned_len(peers)
-    }
-
-    fn push_header(&self, p: &mut Vec<u8>) {
-        p.extend_from_slice(&self.origin.isd.0.to_le_bytes());
-        p.extend_from_slice(&self.origin.asn.value().to_le_bytes());
-        p.extend_from_slice(&self.initiated_at.as_micros().to_le_bytes());
-        p.extend_from_slice(&self.expires_at.as_micros().to_le_bytes());
-        p.extend_from_slice(&self.segment_id.to_le_bytes());
-    }
-
-    fn push_entry_bytes(p: &mut Vec<u8>, ia: IsdAsn, hop: &HopField, peers: &[PeerEntry]) {
-        p.extend_from_slice(&ia.isd.0.to_le_bytes());
-        p.extend_from_slice(&ia.asn.value().to_le_bytes());
-        p.extend_from_slice(&hop.ingress.0.to_le_bytes());
-        p.extend_from_slice(&hop.egress.0.to_le_bytes());
-        p.extend_from_slice(&hop.expiry.as_micros().to_le_bytes());
-        p.extend_from_slice(&hop.mac);
-        for pe in peers {
-            p.extend_from_slice(&pe.peer.isd.0.to_le_bytes());
-            p.extend_from_slice(&pe.peer.asn.value().to_le_bytes());
-            p.extend_from_slice(&pe.peer_if.0.to_le_bytes());
-            p.extend_from_slice(&pe.hop.mac);
-        }
-    }
-
-    /// Signs the entry that would follow `self.entries`.
-    fn sign_next_entry(
-        &self,
-        ia: IsdAsn,
-        hop: &HopField,
-        peers: &[PeerEntry],
-        trust: &TrustStore,
-    ) -> Signature {
-        let mut p = Vec::with_capacity(Self::payload_len(&self.entries, peers.len()));
-        self.push_header(&mut p);
-        for e in &self.entries {
-            Self::push_entry_bytes(&mut p, e.ia, &e.hop, &e.peers);
-            p.extend_from_slice(&e.signature.0);
-        }
-        Self::push_entry_bytes(&mut p, ia, hop, peers);
-        debug_assert_eq!(p.len(), p.capacity());
-        trust
-            .key_of(ia)
-            .unwrap_or_else(|| panic!("no signing key for {ia}"))
-            .sign(SignDomain::PcbAsEntry, &p)
+    fn header_bytes(&self) -> [u8; Self::HEADER_LEN] {
+        let mut p = [0u8; Self::HEADER_LEN];
+        p[..2].copy_from_slice(&self.origin.isd.0.to_le_bytes());
+        p[2..10].copy_from_slice(&self.origin.asn.value().to_le_bytes());
+        p[10..18].copy_from_slice(&self.initiated_at.as_micros().to_le_bytes());
+        p[18..26].copy_from_slice(&self.expires_at.as_micros().to_le_bytes());
+        p[26..].copy_from_slice(&self.segment_id.to_le_bytes());
+        p
     }
 
     /// Full validation of a received beacon at time `now`: liveness,
     /// structural sanity, loop freedom, and the signature chain
     /// (each entry verified against its AS certificate and ISD TRC).
     pub fn validate(&self, trust: &TrustStore, now: SimTime) -> Result<(), PcbError> {
-        let Some((last, rest)) = self.entries.split_last() else {
+        if self.entries.is_empty() {
             return Err(PcbError::Empty);
-        };
+        }
         if now >= self.expires_at || self.initiated_at > now {
             return Err(PcbError::Expired);
         }
@@ -278,21 +257,21 @@ impl Pcb {
         }
         // Verify the signature chain by replaying the construction in one
         // buffer, sized for the last entry's payload: what entry `i` signed
-        // is the buffer once its unsigned fields are in, and its signature
-        // joins the buffer before entry `i + 1` does.
-        let mut p = Vec::with_capacity(Self::payload_len(rest, last.peers.len()));
-        self.push_header(&mut p);
+        // is the buffer up to the end of its unsigned fields, and its
+        // signature joins the buffer before entry `i + 1` does.
+        let len = self.signed_ends().last().map_or(0, |(_, end, _)| end);
+        let mut p = Vec::with_capacity(len);
+        p.extend_from_slice(&self.header_bytes());
         for (i, e) in self.entries.iter().enumerate() {
             if i > 0 {
                 p.extend_from_slice(&self.entries[i - 1].signature.0);
             }
-            Self::push_entry_bytes(&mut p, e.ia, &e.hop, &e.peers);
-            trust
-                .verify_chain(e.ia, SignDomain::PcbAsEntry, &p, &e.signature, now)
-                .map_err(|ve| PcbError::Chain(i, ve))?;
+            entry_pieces(e.ia, &e.hop, &e.peers, |piece| p.extend_from_slice(piece));
         }
-        debug_assert_eq!(p.len(), p.capacity());
-        Ok(())
+        debug_assert_eq!(p.len(), len);
+        trust
+            .verify_entry_chain(&p, self.signed_ends(), now)
+            .map_err(|(i, ve)| PcbError::Chain(i, ve))
     }
 
     /// Number of AS hops accumulated so far.
@@ -381,6 +360,79 @@ impl Pcb {
             self.entries.len(),
             self.entries.iter().map(|e| e.peers.len()).sum(),
         )
+    }
+}
+
+/// Serialized size of an entry's own unsigned fields, and of each peer
+/// entry it advertises.
+const ENTRY_LEN: usize = 2 + 8 + 2 + 2 + 8 + 6;
+const PEER_LEN: usize = 2 + 8 + 2 + 6;
+
+/// Hands `sink` the serialized unsigned fields of an entry, piece by piece:
+/// the entry's own [`ENTRY_LEN`] bytes, then [`PEER_LEN`] per peer entry.
+fn entry_pieces(ia: IsdAsn, hop: &HopField, peers: &[PeerEntry], mut sink: impl FnMut(&[u8])) {
+    let mut p = [0u8; ENTRY_LEN];
+    p[..2].copy_from_slice(&ia.isd.0.to_le_bytes());
+    p[2..10].copy_from_slice(&ia.asn.value().to_le_bytes());
+    p[10..12].copy_from_slice(&hop.ingress.0.to_le_bytes());
+    p[12..14].copy_from_slice(&hop.egress.0.to_le_bytes());
+    p[14..22].copy_from_slice(&hop.expiry.as_micros().to_le_bytes());
+    p[22..].copy_from_slice(&hop.mac);
+    sink(&p);
+    for pe in peers {
+        let mut p = [0u8; PEER_LEN];
+        p[..2].copy_from_slice(&pe.peer.isd.0.to_le_bytes());
+        p[2..10].copy_from_slice(&pe.peer.asn.value().to_le_bytes());
+        p[10..12].copy_from_slice(&pe.peer_if.0.to_le_bytes());
+        p[12..].copy_from_slice(&pe.hop.mac);
+        sink(&p);
+    }
+}
+
+/// Finishes `prefix` — a beacon's header and existing entries, absorbed —
+/// with the new entry's unsigned fields.
+fn sign_entry(mut prefix: Signing, ia: IsdAsn, hop: &HopField, peers: &[PeerEntry]) -> Signature {
+    entry_pieces(ia, hop, peers, |piece| prefix.absorb(piece));
+    prefix.finish()
+}
+
+/// A beacon about to be extended by one AS through one ingress: what every
+/// such extension signs in common — header and existing entries — is already
+/// in `prefix`, a hash state, so an extension per egress reads only its own
+/// entry. Holds no copy of the beacon's bytes; borrows the beacon.
+#[derive(Clone, Debug)]
+pub struct Extender<'a> {
+    pcb: &'a Pcb,
+    ia: IsdAsn,
+    ingress: IfId,
+    prefix: Signing,
+}
+
+impl Extender<'_> {
+    /// A copy of the beacon extended by one entry that propagates it on
+    /// `egress`, advertising `peers`.
+    pub fn extend(&self, egress: IfId, peers: Vec<PeerEntry>) -> Pcb {
+        let pcb = self.pcb;
+        let key = forwarding_key(self.ia);
+        let hop = HopField::new(self.ingress, egress, pcb.expires_at, key);
+        let signature = sign_entry(self.prefix, self.ia, &hop, &peers);
+        // An extended beacon is only read: size the copy for the one entry
+        // it gains.
+        let mut entries = Vec::with_capacity(pcb.entries.len() + 1);
+        entries.extend_from_slice(&pcb.entries);
+        entries.push(AsEntry {
+            ia: self.ia,
+            hop,
+            peers,
+            signature,
+        });
+        Pcb {
+            origin: pcb.origin,
+            initiated_at: pcb.initiated_at,
+            expires_at: pcb.expires_at,
+            segment_id: pcb.segment_id,
+            entries,
+        }
     }
 }
 
@@ -742,13 +794,13 @@ mod tests {
         }
     }
 
-    /// The differential tests' world: eight ASes whose certificates lapse
-    /// two hours in, so a six-hour beacon can outlive them.
+    /// The differential tests' world: thirteen ASes whose certificates
+    /// lapse two hours in, so a six-hour beacon can outlive them.
     mod differential {
         use super::*;
         use proptest::prelude::*;
 
-        const POOL: usize = 8;
+        const POOL: usize = 13;
 
         fn pool(i: usize) -> IsdAsn {
             [
@@ -760,12 +812,25 @@ mod tests {
                 ia(2, 1),
                 ia(2, 2),
                 ia(2, 3),
+                ia(2, 4),
+                ia(2, 5),
+                ia(3, 1),
+                ia(3, 2),
+                ia(3, 3),
             ][i % POOL]
         }
 
         fn trust() -> TrustStore {
+            trust_lacking(None)
+        }
+
+        /// The world's store, or the store of a world where `lacking` was
+        /// never certified. Every ISD keeps a core either way.
+        fn trust_lacking(lacking: Option<IsdAsn>) -> TrustStore {
             TrustStore::bootstrap(
-                (0..POOL).map(|i| (pool(i), matches!(i, 0 | 1 | 5))),
+                (0..POOL)
+                    .map(|i| (pool(i), matches!(i, 0 | 1 | 5 | 6 | 10 | 11)))
+                    .filter(|&(ia, _)| Some(ia) != lacking),
                 t(2 * 3600),
             )
         }
@@ -776,7 +841,7 @@ mod tests {
 
         fn hops() -> impl Strategy<Value = Vec<Hop>> {
             let peers = proptest::collection::vec((0usize..POOL, 1u16..9, 1u16..9), 0..4);
-            proptest::collection::vec((1u16..9, 1u16..9, peers), 1..7)
+            proptest::collection::vec((1u16..9, 1u16..9, peers), 1..13)
         }
 
         fn peer(me: IsdAsn, &(peer, local_if, peer_if): &(usize, u16, u16)) -> PeerEntry {
@@ -789,7 +854,8 @@ mod tests {
 
         /// The loop-free chain `hops` describes, starting at `pool(first)`,
         /// built by the current code and by the reference; the two must be
-        /// the same beacon, signatures included, at every step.
+        /// the same beacon, signatures included, at every step — and so
+        /// must every beacon one extender makes of it, whatever the egress.
         fn build(tr: &TrustStore, first: usize, hops: &[Hop]) -> Pcb {
             let lifetime = Duration::from_hours(6);
             let (_, egress, _) = hops[0];
@@ -800,8 +866,15 @@ mod tests {
                 let me = pool(first + i);
                 let peers: Vec<PeerEntry> = peers.iter().map(|p| peer(me, p)).collect();
                 let (ingress, egress) = (IfId(*ingress), IfId(*egress));
+                let extender = pcb.extender(me, ingress, tr);
+                for other in [IfId::NONE, IfId(egress.0 + 1), IfId(u16::MAX)] {
+                    assert_eq!(
+                        extender.extend(other, peers.clone()),
+                        reference::extend(&pcb, me, ingress, other, peers.clone(), tr)
+                    );
+                }
                 old = reference::extend(&pcb, me, ingress, egress, peers.clone(), tr);
-                pcb = pcb.extend(me, ingress, egress, peers, tr);
+                pcb = extender.extend(egress, peers);
                 assert_eq!(pcb, old);
                 assert_eq!(pcb.entries.capacity(), pcb.entries.len());
             }
@@ -933,28 +1006,93 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
 
-            /// Random loop-free chains of 1–6 entries with 0–3 peer entries
-            /// each: built byte-equal by `originate` / `extend` and their
-            /// reference copies, accepted by both validations, and after
-            /// one random mutation still given the equal `Result` — error
+            /// Random loop-free chains of 1–12 entries with 0–3 peer
+            /// entries each, so entries end on every residue mod 8 and
+            /// chains span several lockstep groups: built byte-equal by
+            /// `originate` / the extender and their reference copies,
+            /// accepted by both validations, and then — untouched, after
+            /// one random mutation, after two, or read against a store
+            /// that never certified one of the signers, alone or on top of
+            /// the mutations — still given the equal `Result`, error
             /// variant and chain index included.
             #[test]
             fn prop_beacon_path_matches_the_reference(
                 first in 0usize..POOL,
                 hops in hops(),
-                kind in 0u8..MUTATIONS,
-                at in (any::<u16>(), any::<u16>()),
+                faults in proptest::collection::vec(
+                    (0u8..MUTATIONS, any::<u16>(), any::<u16>()), 0..=2),
+                lacking in (0u8..4, 0usize..12),
             ) {
                 let tr = trust();
                 let mut pcb = build(&tr, first, &hops);
                 let mut now = t(1000);
                 prop_assert_eq!(verdicts_agree(&pcb, &tr, now), Ok(()));
-                mutate(&mut pcb, &mut now, kind, at.0 as usize, at.1 as usize);
+                let stranger = pcb.entries[lacking.1 % hops.len()].ia;
+                for (kind, a, b) in faults {
+                    if !pcb.entries.is_empty() {
+                        mutate(&mut pcb, &mut now, kind, a as usize, b as usize);
+                    }
+                }
                 // Most mutations are rejected, a few (a swap with itself, a
                 // dropped peer that was not there) are not: only agreement
                 // is asserted.
                 verdicts_agree(&pcb, &tr, now).ok();
+                if lacking.0 == 0 {
+                    let tr = trust_lacking(Some(stranger));
+                    verdicts_agree(&pcb, &tr, now).ok();
+                }
             }
+        }
+
+        /// Every byte of every signature of a chain that spans two lockstep
+        /// groups is compared: flipping any one is reported at its entry.
+        #[test]
+        fn every_signature_byte_is_compared() {
+            let tr = trust();
+            let hops: Vec<Hop> = vec![
+                (1, 5, vec![]),
+                (1, 2, vec![(3, 8, 4)]),
+                (3, 4, vec![]),
+                (7, 9, vec![(0, 2, 2), (6, 9, 6)]),
+                (2, 6, vec![]),
+            ];
+            let pristine = build(&tr, 4, &hops);
+            for entry in 0..hops.len() {
+                for byte in 0..96 {
+                    let mut pcb = pristine.clone();
+                    pcb.entries[entry].signature.0[byte] ^= 0x80;
+                    assert_eq!(
+                        verdicts_agree(&pcb, &tr, t(1000)),
+                        Err(PcbError::Chain(entry, VerifyError::BadSignature)),
+                        "byte {byte}"
+                    );
+                }
+            }
+        }
+
+        /// Inside one lockstep group, an earlier bad signature is reported
+        /// before a later signer the store does not know; the unknown
+        /// signer before a bad signature after it.
+        #[test]
+        fn first_failing_entry_wins() {
+            let hops: Vec<Hop> = vec![(1, 5, vec![]), (1, 2, vec![]), (3, 4, vec![])];
+            let mut pcb = build(&trust(), 0, &hops);
+            let tr = trust_lacking(Some(pcb.entries[1].ia));
+            let unknown = VerifyError::UnknownAs(pcb.entries[1].ia);
+            assert_eq!(
+                verdicts_agree(&pcb, &tr, t(1000)),
+                Err(PcbError::Chain(1, unknown.clone()))
+            );
+            pcb.entries[2].signature.0[0] ^= 1;
+            assert_eq!(
+                verdicts_agree(&pcb, &tr, t(1000)),
+                Err(PcbError::Chain(1, unknown))
+            );
+            pcb.entries[0].signature.0[0] ^= 1;
+            assert_eq!(
+                verdicts_agree(&pcb, &tr, t(1000)),
+                Err(PcbError::Chain(0, VerifyError::BadSignature))
+            );
         }
     }
 
