@@ -21,6 +21,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::ops::Range;
+use std::rc::Rc;
 
 use scion_types::{Duration, IfId, IsdAsn, LinkId, SimTime};
 
@@ -45,14 +46,14 @@ struct Sendable<'a> {
     source: PickSource<'a>,
     /// The slots of the path's interior links, then of the link it arrived
     /// on (fully resolved locally), as a range of [`Offer::slots`]; empty
-    /// for the origination's zero-hop self path.
+    /// for the origination's zero-hop self path. Also the path's
+    /// [`SentList`] key.
     path: Range<usize>,
     /// The path's Sent-PCBs-List records, one per interface it went out
     /// of, as a range of [`Offer::sent`].
     sent: Range<usize>,
     /// The Eq. (2) exponent.
     unsent_exponent: f64,
-    initiated_at: SimTime,
     expires_at: SimTime,
 }
 
@@ -77,20 +78,6 @@ struct Candidate {
     /// The Eq. (1) score of a previously-sent candidate, fixed for the
     /// interval (see [`Offer::sent`]).
     sent_score: Option<f64>,
-}
-
-/// Writes the [`SentList`] key of `source` — the beacon's hops, then the
-/// local (not yet appended) hop without its egress — over `key`.
-fn write_key(key: &mut Vec<(IsdAsn, IfId, IfId)>, source: &PickSource<'_>, me: IsdAsn) {
-    key.clear();
-    let ingress = match source {
-        PickSource::Originate => IfId::NONE,
-        PickSource::Stored(beacon) => {
-            key.extend(beacon.pcb.path_hops());
-            beacon.ingress_if
-        }
-    };
-    key.push((me, ingress, IfId::NONE));
 }
 
 impl DiversityAlgorithm {
@@ -142,8 +129,7 @@ impl DiversityAlgorithm {
             let slot = self.history.slot(ctx.topo.link_id(e.link));
             by_neighbor.entry(e.neighbor).or_default().push((e, slot));
         }
-        let mut key = Vec::new();
-        let offer = self.offer(ctx, store, now, &mut key);
+        let offer = self.offer(ctx, store, now);
 
         let threshold = self.params.score_threshold;
         let mut counters = DenseCounters::new(&self.history);
@@ -212,8 +198,15 @@ impl DiversityAlgorithm {
                     // Update the Link History Table: "the associated
                     // counters are incremented for every link on its path,
                     // as well as the one associated with the outgoing link".
-                    let links = path.iter().copied().chain([egress_slot]).collect();
-                    counters.record(&mut self.history, pair, links, s.expires_at);
+                    // The rollback holds the path's Sent-PCBs-List key.
+                    let key = self.sent.key(path);
+                    counters.record(
+                        &mut self.history,
+                        pair,
+                        Rc::clone(&key),
+                        egress_slot,
+                        s.expires_at,
+                    );
                     // Store the post-increment diversity score so a
                     // just-sent path is never considered fully diverse on
                     // its next evaluation. Floored at a small ε: Eq. 3's
@@ -225,15 +218,12 @@ impl DiversityAlgorithm {
                     let post_ds = counters
                         .diversity_score(path, egress_slot, self.params.max_geomean)
                         .max(0.01);
-                    write_key(&mut key, &s.source, ctx.me_ia);
                     self.sent.record(
-                        &key,
+                        key,
                         egress.local_if,
                         SentRecord {
                             diversity_score: post_ds,
-                            initiated_at: s.initiated_at,
                             expires_at: s.expires_at,
-                            last_sent: now,
                         },
                     );
                     picks.push(Pick {
@@ -255,7 +245,6 @@ impl DiversityAlgorithm {
         ctx: &SelectionCtx<'_>,
         store: &'a BeaconStore,
         now: SimTime,
-        key: &mut Vec<(IsdAsn, IfId, IfId)>,
     ) -> Offer<'a> {
         let mut offer = Offer {
             slots: Vec::new(),
@@ -272,18 +261,17 @@ impl DiversityAlgorithm {
                 }
                 let ingress = ctx.topo.link_id(beacon.ingress_link);
                 offer.slots.push(self.history.slot(ingress));
-                let source = PickSource::Stored(beacon);
-                let sent = self.sent_records(&mut offer, key, &source, ctx.me_ia, now);
+                let path = start..offer.slots.len();
+                let sent = self.sent_records(&mut offer, path.clone(), now);
                 offer.sendables.push(Sendable {
-                    source,
-                    path: start..offer.slots.len(),
+                    source: PickSource::Stored(beacon),
+                    path,
                     sent,
                     unsent_exponent: exponent_unsent(
                         &self.params,
                         beacon.pcb.age(now),
                         beacon.pcb.lifetime(),
                     ),
-                    initiated_at: beacon.pcb.initiated_at,
                     expires_at: beacon.pcb.expires_at,
                 });
             }
@@ -293,13 +281,12 @@ impl DiversityAlgorithm {
             // Origination flows through the same scoring: the zero-hop
             // self path out of each parallel link to the neighbor.
             let last = offer.sendables.len();
-            let sent = self.sent_records(&mut offer, key, &PickSource::Originate, ctx.me_ia, now);
+            let sent = self.sent_records(&mut offer, 0..0, now);
             offer.sendables.push(Sendable {
                 source: PickSource::Originate,
                 path: 0..0,
                 sent,
                 unsent_exponent: exponent_unsent(&self.params, Duration::ZERO, ctx.pcb_lifetime),
-                initiated_at: now,
                 expires_at: now + ctx.pcb_lifetime,
             });
             offer.origins.push((ctx.me_ia, last..last + 1));
@@ -307,19 +294,16 @@ impl DiversityAlgorithm {
         offer
     }
 
-    /// Copies the live records of `source`'s path into `offer.sent`,
-    /// returning where they went.
+    /// Copies the live records of the path whose slots are `path` in
+    /// `offer.slots` into `offer.sent`, returning where they went.
     fn sent_records(
         &self,
         offer: &mut Offer<'_>,
-        key: &mut Vec<(IsdAsn, IfId, IfId)>,
-        source: &PickSource<'_>,
-        me: IsdAsn,
+        path: Range<usize>,
         now: SimTime,
     ) -> Range<usize> {
-        write_key(key, source, me);
         let start = offer.sent.len();
-        offer.sent.extend(self.sent.live(key, now));
+        offer.sent.extend(self.sent.live(&offer.slots[path], now));
         start..offer.sent.len()
     }
 
@@ -360,8 +344,10 @@ mod tests {
 
     /// The selection loop, `LinkHistory` and `SentList` as they stood before
     /// links were interned, verbatim but for the `pub(super)` the tests read
-    /// through: the oracle of `select_matches_the_reference`. `SentRecord`,
-    /// the exponents and `final_score` did not change and are shared.
+    /// through and the two `SentRecord` fields nothing read (the initiation
+    /// and the time of the last send): the oracle of
+    /// `select_matches_the_reference`. `SentRecord`, the exponents and
+    /// `final_score` are shared.
     #[allow(dead_code)]
     mod reference {
         use std::cmp::Reverse;
@@ -570,7 +556,6 @@ mod tests {
             pub(super) links: Vec<LinkId>,
             age: Duration,
             lifetime: Duration,
-            initiated_at: SimTime,
             expires_at: SimTime,
         }
 
@@ -654,7 +639,6 @@ mod tests {
                             links: vec![ctx.topo.link_id(e.link)],
                             age: Duration::ZERO,
                             lifetime: ctx.pcb_lifetime,
-                            initiated_at: now,
                             expires_at: now + ctx.pcb_lifetime,
                         });
                     }
@@ -684,7 +668,6 @@ mod tests {
                             links,
                             age: beacon.pcb.age(now),
                             lifetime: beacon.pcb.lifetime(),
-                            initiated_at: beacon.pcb.initiated_at,
                             expires_at: beacon.pcb.expires_at,
                         });
                     }
@@ -745,9 +728,7 @@ mod tests {
                         c.key.clone(),
                         SentRecord {
                             diversity_score: post_ds,
-                            initiated_at: c.initiated_at,
                             expires_at: c.expires_at,
-                            last_sent: now,
                         },
                     );
                     taken.insert(c.key.clone());
@@ -981,18 +962,60 @@ mod tests {
         (path, pick.egress.link)
     }
 
+    /// The [`SentList`] key `history` gives the arrival path of `source`:
+    /// the slots of the beacon's interior links, then of its ingress link;
+    /// `None` if one of them has no slot yet.
+    fn slot_key(
+        history: &LinkHistory,
+        topo: &AsTopology,
+        source: &PickSource<'_>,
+    ) -> Option<Vec<u32>> {
+        let PickSource::Stored(beacon) = source else {
+            return Some(Vec::new());
+        };
+        beacon
+            .pcb
+            .links_iter()
+            .map(|(a, b)| LinkId::new(a, b))
+            .chain([topo.link_id(beacon.ingress_link)])
+            .map(|link| history.slot_of(link))
+            .collect()
+    }
+
+    /// The path identity the slot key must match: the beacon's hops and
+    /// the interface it arrived on.
+    fn hop_key(beacon: &StoredBeacon) -> (PathKey, IfId) {
+        (beacon.pcb.path_key(), beacon.ingress_if)
+    }
+
     #[test]
-    fn the_sent_key_is_the_hops_then_the_local_hop_without_egress() {
+    fn the_sent_key_is_the_links_slots_then_the_ingress_slot() {
         let scenario = scenario(1, &[1], &[(1, vec![2, 3], 0, 10, 1000, 0)]);
         let store = scenario.first_store(None);
+        let ctx = scenario.ctx(true, 1);
+        let mut algorithm = DiversityAlgorithm::new(DiversityParams::default());
+        let picks = algorithm.select(&ctx, &store, at(0));
+        assert_eq!(picks.len(), 2, "the beacon and the origination");
         let beacon = store.beacons_of(ia(1), at(0))[0];
-        let mut key = Vec::new();
-        write_key(&mut key, &PickSource::Stored(beacon), ia(ME));
-        assert_eq!(key.len(), 4, "three hops and the local one");
-        assert!(key[..3].iter().copied().eq(beacon.pcb.path_hops()));
-        assert_eq!(key[3], (ia(ME), beacon.ingress_if, IfId::NONE));
-        write_key(&mut key, &PickSource::Originate, ia(ME));
-        assert_eq!(key, [(ia(ME), IfId::NONE, IfId::NONE)]);
+        let key = slot_key(
+            &algorithm.history,
+            &scenario.topo,
+            &PickSource::Stored(beacon),
+        );
+        let key = key.expect("every link of a listed beacon has a slot");
+        assert_eq!(key.len(), 3, "two interior links and the ingress link");
+        let iface = picks[0].egress.local_if;
+        let record = algorithm.sent.lookup(&key, iface, at(0)).unwrap();
+        assert_eq!(record.expires_at, beacon.pcb.expires_at);
+        let record = algorithm.sent.lookup(&[], iface, at(0)).unwrap();
+        assert_eq!(
+            record.expires_at,
+            at(0) + PCB_LIFETIME,
+            "the origination's key is []"
+        );
+        assert_eq!(algorithm.sent.len(), 2);
+        // One key per path: the list's, the rollback's and this one.
+        assert_eq!(Rc::strong_count(&algorithm.sent.key(&key)), 3);
     }
 
     proptest! {
@@ -1022,22 +1045,22 @@ mod tests {
 
                 // Every candidate of the interval, as the parent lists
                 // them: its key, its sent record, its diversity score.
-                let record = |r: SentRecord| {
-                    (r.diversity_score.to_bits(), r.initiated_at, r.expires_at, r.last_sent)
-                };
-                let mut key = Vec::new();
+                let record = |r: SentRecord| (r.diversity_score.to_bits(), r.expires_at);
                 let mut origins = store.origins();
                 origins.push(ctx.me_ia);
                 for e in ctx.egress_links {
                     for &origin in &origins {
                         for c in theirs.build_candidates(ctx, store, now, origin, &[*e]) {
-                            // Ours files under the interface what theirs
-                            // keys by as its last hop's egress.
-                            write_key(&mut key, &c.source, ctx.me_ia);
-                            let (&(me, ingress, egress), hops) = c.key.0.split_last().unwrap();
-                            prop_assert_eq!(egress, e.local_if);
-                            prop_assert_eq!(&key[..hops.len()], hops);
-                            prop_assert_eq!(key.last(), Some(&(me, ingress, IfId::NONE)));
+                            // Ours keys by the slots of the links theirs
+                            // lists before the egress link, and files under
+                            // the interface what theirs keys by as its last
+                            // hop's egress.
+                            let (_, path) = c.links.split_last().unwrap();
+                            let key = path.iter().map(|&l| ours.history.slot_of(l)).collect::<Option<Vec<_>>>();
+                            prop_assert!(key.is_some(), "a listed link without a slot");
+                            let key = key.unwrap();
+                            prop_assert_eq!(&key, &slot_key(&ours.history, ctx.topo, &c.source).unwrap());
+                            prop_assert_eq!(c.key.0.last().unwrap().2, e.local_if);
                             prop_assert_eq!(
                                 ours.sent.lookup(&key, e.local_if, now).map(record),
                                 theirs.sent.lookup(e.local_if, &c.key, now).map(record)
@@ -1144,7 +1167,6 @@ mod tests {
                 let mut before = algorithm.clone();
                 before.history.purge(now);
                 before.sent.purge(now);
-                let mut key = Vec::new();
                 let mut last: Option<((IsdAsn, IsdAsn), f64)> = None;
                 for pick in algorithm.select(ctx, store, now) {
                     let mut links = Vec::new();
@@ -1158,7 +1180,7 @@ mod tests {
                     };
                     links.push(ctx.topo.link_id(pick.egress.link));
                     let pair = (origin, pick.egress.neighbor_ia);
-                    write_key(&mut key, &pick.source, ctx.me_ia);
+                    let key = slot_key(&algorithm.history, ctx.topo, &pick.source).unwrap();
                     let score = match before.sent.lookup(&key, pick.egress.local_if, now) {
                         Some(r) => final_score(
                             r.diversity_score,
@@ -1177,6 +1199,50 @@ mod tests {
                     }
                     before.history.record_dissemination(pair, &links, expires_at);
                     last = Some((pair, score));
+                }
+                Ok(())
+            })?;
+        }
+
+        /// The Sent-PCBs List's slot key is an identity: over a run, two
+        /// stored beacons' keys are equal exactly when their hops and
+        /// ingress interfaces are, and every pick's record is filed under
+        /// its key — `[]` for the origination.
+        #[test]
+        fn the_slot_key_names_a_path_as_its_hops_do(
+            origins in 1u64..=4,
+            parallel in proptest::collection::vec(1usize..=3, 1..=3),
+            specs in beacon_specs(),
+            originate in any::<bool>(),
+            limit in 1usize..=5,
+        ) {
+            let mut algorithm = DiversityAlgorithm::new(DiversityParams::default());
+            let scenario = scenario(origins, &parallel, &specs);
+            let mut by_slots: HashMap<Vec<u32>, (PathKey, IfId)> = HashMap::new();
+            let mut by_hops: HashMap<(PathKey, IfId), Vec<u32>> = HashMap::new();
+            scenario.play(originate, limit, |ctx, store, now| {
+                let picks = algorithm.select(ctx, store, now);
+                for origin in store.origins() {
+                    for beacon in store.beacons_of(origin, now) {
+                        let slots = slot_key(&algorithm.history, ctx.topo, &PickSource::Stored(beacon));
+                        prop_assert!(slots.is_some(), "a listed link without a slot");
+                        let slots = slots.unwrap();
+                        prop_assert!(!slots.is_empty());
+                        let hops = hop_key(beacon);
+                        prop_assert_eq!(by_slots.entry(slots.clone()).or_insert_with(|| hops.clone()), &hops);
+                        prop_assert_eq!(by_hops.entry(hops).or_insert(slots.clone()), &slots);
+                    }
+                }
+                for pick in &picks {
+                    let (key, expires_at) = match pick.source {
+                        PickSource::Originate => (Vec::new(), now + PCB_LIFETIME),
+                        PickSource::Stored(b) => (
+                            slot_key(&algorithm.history, ctx.topo, &pick.source).unwrap(),
+                            b.pcb.expires_at,
+                        ),
+                    };
+                    let record = algorithm.sent.lookup(&key, pick.egress.local_if, now);
+                    prop_assert_eq!(record.map(|r| r.expires_at), Some(expires_at));
                 }
                 Ok(())
             })?;

@@ -10,7 +10,16 @@
 //! matters, counters decay: every increment is recorded as a *contribution*
 //! that is rolled back when the beacon instance that caused it expires
 //! (DESIGN.md §6.2). The contributions themselves wait in the expiry heap,
-//! ordered by `(expiry, sequence number)`.
+//! ordered by `(expiry, sequence number)`, each naming its pair by a `u32`
+//! id and its links by their interned slots.
+//!
+//! ## Sent-PCBs List
+//!
+//! Per arrival path, the interfaces it was sent out of, each with the
+//! §4.2 record: the link diversity score and the sent instance's expiry
+//! (its age and lifetime, as Eq. (3) reads them). A path is keyed by its
+//! links' interned slots, 4 B per link, and the key is shared with the
+//! pending rollbacks of the path's sends.
 //!
 //! ## Link diversity score
 //!
@@ -37,8 +46,9 @@
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::collections::hash_map::Entry;
+use std::rc::Rc;
 
-use scion_proto::pcb::PathKey;
 use scion_types::{Duration, FastMap, IfId, IsdAsn, LinkId, SimTime};
 
 use crate::config::DiversityParams;
@@ -51,17 +61,24 @@ pub type PairKey = (IsdAsn, IsdAsn);
 /// Links are interned: the first time a [`LinkId`] is counted or resolved
 /// it gets the next `u32` slot, and tables and pending rollbacks name links
 /// by slot, so the selection loop (through `DenseCounters`) hashes a link
-/// once per interval instead of once per score.
+/// once per interval instead of once per score. Pairs are interned the same
+/// way the first time one is counted, so a pending rollback names its pair
+/// in 4 B.
 ///
-/// Slots are never freed. What bounds them: a link is interned only when
-/// it lies on a path this server stored or sent (a stored beacon's interior
-/// and ingress links, a local egress link), so a history holds at most as
-/// many slots as the topology has links, however long it runs.
+/// Slots and pair ids are never freed. What bounds them: a link is interned
+/// only when it lies on a path this server stored or sent (a stored
+/// beacon's interior and ingress links, a local egress link), so a history
+/// holds at most as many slots as the topology has links, however long it
+/// runs; a pair gets an id only when something is sent for it, so there
+/// are at most origins × neighbors of them.
 #[derive(Clone, Debug, Default)]
 pub struct LinkHistory {
     slots: FastMap<LinkId, u32>,
-    /// Per pair, the non-zero counters as `(slot, count)`, ordered by slot.
-    counters: FastMap<PairKey, Vec<(u32, u32)>>,
+    /// The id of every pair ever counted: its index in `counters`.
+    pairs: FastMap<PairKey, u32>,
+    /// Per pair id, the non-zero counters as `(slot, count)`, ordered by
+    /// slot; an emptied table gives its allocation back.
+    counters: Vec<Vec<(u32, u32)>>,
     /// Pending rollbacks, earliest first.
     expiries: BinaryHeap<Reverse<Contribution>>,
     next_seq: u64,
@@ -75,9 +92,17 @@ pub struct LinkHistory {
 struct Contribution {
     at: SimTime,
     seq: u64,
-    pair: PairKey,
-    slots: Vec<u32>,
+    /// The pair's id (see [`LinkHistory::pairs`]).
+    pair: u32,
+    /// The slot of the path's last link, the one it went out of.
+    egress: u32,
+    /// The slots of the links before it: the path's Sent-PCBs-List key,
+    /// shared with the list.
+    path: Rc<[u32]>,
 }
+
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Contribution>() == 40);
 
 /// Position of `slot` in a pair's table, or where it would be inserted.
 fn find_slot(table: &[(u32, u32)], slot: u32) -> Result<usize, usize> {
@@ -111,19 +136,20 @@ impl LinkHistory {
             if top.0.at > now {
                 break;
             }
-            let Reverse(Contribution { pair, slots, .. }) = PeekMut::pop(top);
-            if let Some(table) = self.counters.get_mut(&pair) {
-                for slot in slots {
-                    if let Ok(i) = find_slot(table, slot) {
-                        table[i].1 -= 1;
-                        if table[i].1 == 0 {
-                            table.remove(i);
-                        }
+            let Reverse(Contribution {
+                pair, egress, path, ..
+            }) = PeekMut::pop(top);
+            let table = &mut self.counters[pair as usize];
+            for &slot in path.iter().chain([&egress]) {
+                if let Ok(i) = find_slot(table, slot) {
+                    table[i].1 -= 1;
+                    if table[i].1 == 0 {
+                        table.remove(i);
                     }
                 }
-                if table.is_empty() {
-                    self.counters.remove(&pair);
-                }
+            }
+            if table.is_empty() {
+                *table = Vec::new();
             }
         }
     }
@@ -136,14 +162,20 @@ impl LinkHistory {
 
     /// The `(slot, count)` table of `pair` (empty if nothing is counted).
     fn table(&self, pair: PairKey) -> &[(u32, u32)] {
-        self.counters.get(&pair).map_or(&[], Vec::as_slice)
+        self.pairs
+            .get(&pair)
+            .map_or(&[], |&id| &self.counters[id as usize])
+    }
+
+    /// The slot of `link`, if it has one.
+    pub(crate) fn slot_of(&self, link: LinkId) -> Option<u32> {
+        self.slots.get(&link).copied()
     }
 
     /// Counter of `link` in `table` (0 if never counted).
     fn counter_in(&self, table: &[(u32, u32)], link: LinkId) -> u32 {
-        self.slots
-            .get(&link)
-            .and_then(|&slot| find_slot(table, slot).ok())
+        self.slot_of(link)
+            .and_then(|slot| find_slot(table, slot).ok())
             .map_or(0, |i| table[i].1)
     }
 
@@ -153,17 +185,27 @@ impl LinkHistory {
     }
 
     /// Records a dissemination: increments every link's counter for `pair`
-    /// and schedules the rollback at `expires_at`.
+    /// and schedules the rollback at `expires_at`. An empty path counts
+    /// nothing and is not recorded.
     pub fn record_dissemination(&mut self, pair: PairKey, links: &[LinkId], expires_at: SimTime) {
-        let slots = links.iter().map(|&link| self.slot(link)).collect();
-        self.record_slots(pair, slots, expires_at);
+        let Some((&last, links)) = links.split_last() else {
+            return;
+        };
+        let path = links.iter().map(|&link| self.slot(link)).collect();
+        let egress = self.slot(last);
+        self.record_slots(pair, path, egress, expires_at);
     }
 
     /// [`LinkHistory::record_dissemination`] for links already resolved by
     /// [`LinkHistory::slot`].
-    fn record_slots(&mut self, pair: PairKey, slots: Vec<u32>, expires_at: SimTime) {
-        let table = self.counters.entry(pair).or_default();
-        for &slot in &slots {
+    fn record_slots(&mut self, pair: PairKey, path: Rc<[u32]>, egress: u32, expires_at: SimTime) {
+        let next = self.counters.len() as u32;
+        let pair = *self.pairs.entry(pair).or_insert(next);
+        if pair == next {
+            self.counters.push(Vec::new());
+        }
+        let table = &mut self.counters[pair as usize];
+        for &slot in path.iter().chain([&egress]) {
             match find_slot(table, slot) {
                 Ok(i) => table[i].1 += 1,
                 Err(i) => table.insert(i, (slot, 1)),
@@ -175,7 +217,8 @@ impl LinkHistory {
             at: expires_at,
             seq,
             pair,
-            slots,
+            egress,
+            path,
         }));
     }
 
@@ -215,7 +258,7 @@ impl LinkHistory {
 
     /// Number of live (pair, link) counters — for tests and memory stats.
     pub fn live_counters(&self) -> usize {
-        self.counters.values().map(Vec::len).sum()
+        self.counters.iter().map(Vec::len).sum()
     }
 }
 
@@ -254,19 +297,20 @@ impl DenseCounters {
         }
     }
 
-    /// Records a dissemination over `slots` for the loaded pair, here and
-    /// in `history`.
+    /// Records a dissemination over the path `[path.., egress]` for the
+    /// loaded pair, here and in `history`.
     pub(crate) fn record(
         &mut self,
         history: &mut LinkHistory,
         pair: PairKey,
-        slots: Vec<u32>,
+        path: Rc<[u32]>,
+        egress: u32,
         expires_at: SimTime,
     ) {
-        for &slot in &slots {
+        for &slot in path.iter().chain([&egress]) {
             self.counts[slot as usize] += 1;
         }
-        history.record_slots(pair, slots, expires_at);
+        history.record_slots(pair, path, egress, expires_at);
     }
 
     fn ln_smoothed(&self, slot: u32) -> f64 {
@@ -292,31 +336,39 @@ impl DenseCounters {
 /// What the algorithm remembers about a previously-disseminated beacon
 /// (§4.2: "the algorithm stores the link diversity score as well as the age
 /// and the lifetime of every PCB it disseminates to each egress
-/// interface").
+/// interface"): what Eq. (3) reads of it.
 #[derive(Clone, Copy, Debug)]
 pub struct SentRecord {
     /// Diversity score at (re)send time, *after* the send's own counter
     /// increments (so a just-sent path never scores as fully diverse).
     pub diversity_score: f64,
-    /// Initiation of the sent instance.
-    pub initiated_at: SimTime,
-    /// Expiry of the sent instance.
+    /// Expiry of the sent instance: Eq. (3)'s remaining lifetime is
+    /// measured to it.
     pub expires_at: SimTime,
-    /// When it was last sent.
-    pub last_sent: SimTime,
 }
+
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<SentRecord>() == 16);
 
 /// The Sent-PCBs List: per path a beacon arrived on, one record per
 /// interface it was sent out of.
 ///
-/// A path's key is the beacon's hops, then the local hop `(me, ingress,
-/// IfId::NONE)` with its egress left out — the origination's key is
-/// `[(me, NONE, NONE)]`. The egress the full candidate path `[p, iface]`
-/// would append is the interface a record is filed under, so one key per
-/// arrival path names every record a candidate of it can read.
+/// A path's key is the slots [`LinkHistory`] interned for its links,
+/// in order — the beacon's interior links, then the one it arrived on — and
+/// the origination's key is `[]`. The egress link the full candidate path
+/// `[p, iface]` would append is left out: the interface a record is filed
+/// under names it, so one key per arrival path names every record a
+/// candidate of it can read. A key is shared: every pending rollback of a
+/// send of the path holds it ([`SentList::key`]) rather than a copy.
+///
+/// Within one server the slot key names a path exactly as its hops and
+/// ingress interface would: a slot names one link for good (slots are
+/// never freed), the links of a loop-free path fix the order of its ASes
+/// and every interface on it, and the local AS, which ends every path,
+/// fixes its direction.
 #[derive(Clone, Debug, Default)]
 pub struct SentList {
-    by_path: FastMap<PathKey, Vec<(IfId, SentRecord)>>,
+    by_path: FastMap<Rc<[u32]>, Vec<(IfId, SentRecord)>>,
 }
 
 impl SentList {
@@ -329,7 +381,7 @@ impl SentList {
     /// sent"; [`SentList::purge`] is what deletes it).
     pub fn live<'a>(
         &'a self,
-        key: &[(IsdAsn, IfId, IfId)],
+        key: &[u32],
         now: SimTime,
     ) -> impl Iterator<Item = (IfId, SentRecord)> + 'a {
         self.by_path
@@ -341,25 +393,30 @@ impl SentList {
     }
 
     /// The live record of the path keyed by `key` on `iface`.
-    pub fn lookup(
-        &self,
-        key: &[(IsdAsn, IfId, IfId)],
-        iface: IfId,
-        now: SimTime,
-    ) -> Option<SentRecord> {
+    pub fn lookup(&self, key: &[u32], iface: IfId, now: SimTime) -> Option<SentRecord> {
         self.live(key, now)
             .find(|&(i, _)| i == iface)
             .map(|(_, record)| record)
     }
 
+    /// The key of the path `path`: the list's own if it has one, a new one
+    /// otherwise.
+    pub fn key(&self, path: &[u32]) -> Rc<[u32]> {
+        self.by_path
+            .get_key_value(path)
+            .map_or_else(|| Rc::from(path), |(key, _)| Rc::clone(key))
+    }
+
     /// Inserts or refreshes the record of the path keyed by `key` on `iface`
     /// ("If a path is sent again, its corresponding timers in Sent PCBs
     /// List get updated").
-    pub fn record(&mut self, key: &[(IsdAsn, IfId, IfId)], iface: IfId, record: SentRecord) {
-        let Some(records) = self.by_path.get_mut(key) else {
-            self.by_path
-                .insert(PathKey(key.to_vec()), vec![(iface, record)]);
-            return;
+    pub fn record(&mut self, key: Rc<[u32]>, iface: IfId, record: SentRecord) {
+        let records = match self.by_path.entry(key) {
+            Entry::Occupied(records) => records.into_mut(),
+            Entry::Vacant(path) => {
+                path.insert(vec![(iface, record)]);
+                return;
+            }
         };
         match records.iter_mut().find(|(i, _)| *i == iface) {
             Some(slot) => slot.1 = record,
@@ -534,16 +591,15 @@ mod tests {
     #[test]
     fn sent_list_lookup_and_expiry() {
         let mut s = SentList::new();
-        let key = [(ia(1), IfId(0), IfId::NONE)];
+        let key = [3, 1];
         let rec = SentRecord {
             diversity_score: 0.8,
-            initiated_at: t(0),
             expires_at: t(100),
-            last_sent: t(0),
         };
-        s.record(&key, IfId(1), rec);
+        s.record(s.key(&key), IfId(1), rec);
         assert!(s.lookup(&key, IfId(1), t(50)).is_some());
         assert!(s.lookup(&key, IfId(2), t(50)).is_none(), "per-interface");
+        assert!(s.lookup(&[3], IfId(1), t(50)).is_none(), "per-path");
         // At expiry the record stops answering; the purge deletes it.
         assert!(s.lookup(&key, IfId(1), t(100)).is_none());
         assert_eq!(s.live(&key, t(100)).count(), 0);
@@ -556,15 +612,15 @@ mod tests {
     fn sent_list_purge() {
         let mut s = SentList::new();
         for i in 0..5u16 {
-            // Two paths, the records of each spread over interfaces.
+            // Two paths, the origination's and one of a link, the records
+            // of each spread over interfaces.
+            let key: &[u32] = if i % 2 == 0 { &[0] } else { &[] };
             s.record(
-                &[(ia(1 + u64::from(i % 2)), IfId(0), IfId::NONE)],
+                s.key(key),
                 IfId(i),
                 SentRecord {
                     diversity_score: 1.0,
-                    initiated_at: t(0),
                     expires_at: t(100 + u64::from(i)),
-                    last_sent: t(0),
                 },
             );
         }
@@ -573,37 +629,50 @@ mod tests {
         assert_eq!(s.len(), 2);
         s.purge(t(103));
         assert_eq!(s.len(), 1);
-        assert_eq!(s.live(&[(ia(1), IfId(0), IfId::NONE)], t(103)).count(), 1);
+        assert_eq!(s.live(&[0], t(103)).count(), 1);
+        assert_eq!(s.live(&[], t(103)).count(), 0);
     }
 
     #[test]
     fn resend_update_refreshes_timers() {
         let mut s = SentList::new();
-        let key = [(ia(1), IfId(0), IfId::NONE)];
+        let key = [];
         s.record(
-            &key,
+            s.key(&key),
             IfId(1),
             SentRecord {
                 diversity_score: 0.8,
-                initiated_at: t(0),
                 expires_at: t(100),
-                last_sent: t(0),
             },
         );
         s.record(
-            &key,
+            s.key(&key),
             IfId(1),
             SentRecord {
                 diversity_score: 0.6,
-                initiated_at: t(50),
                 expires_at: t(150),
-                last_sent: t(60),
             },
         );
         let r = s.lookup(&key, IfId(1), t(70)).unwrap();
         assert_eq!(r.expires_at, t(150));
-        assert_eq!(r.last_sent, t(60));
+        assert_eq!(r.diversity_score, 0.6);
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn an_emptied_table_gives_its_allocation_back() {
+        let mut h = LinkHistory::new();
+        let pair = (ia(1), ia(2));
+        h.record_dissemination(pair, &[link(1, 1, 3, 1), link(3, 2, 4, 1)], t(100));
+        h.record_dissemination((ia(1), ia(3)), &[link(1, 1, 3, 1)], t(200));
+        assert_eq!(h.pairs.len(), 2);
+        h.purge(t(100));
+        assert_eq!(h.counters[h.pairs[&pair] as usize].capacity(), 0);
+        assert_eq!(h.live_counters(), 1);
+        // The pair keeps its id and counts again from an empty table.
+        h.record_dissemination(pair, &[link(1, 1, 3, 1)], t(300));
+        assert_eq!(h.pairs.len(), 2);
+        assert_eq!(h.counter(pair, link(1, 1, 3, 1)), 1);
     }
 
     mod proptests {
@@ -657,7 +726,8 @@ mod tests {
                 }
                 for (slots, times) in &table {
                     for _ in 0..*times {
-                        h.record_slots(pair, slots.clone(), t(100));
+                        let (&egress, path) = slots.split_last().unwrap();
+                        h.record_slots(pair, path.into(), egress, t(100));
                     }
                 }
                 let mut counters = DenseCounters::new(&h);
@@ -667,7 +737,8 @@ mod tests {
                 };
                 let mut before = score(&counters);
                 for slots in &recorded {
-                    counters.record(&mut h, pair, slots.clone(), t(100));
+                    let (&egress, path) = slots.split_last().unwrap();
+                    counters.record(&mut h, pair, path.into(), egress, t(100));
                     let after = score(&counters);
                     prop_assert!(after >= 0.0, "negative score {}", after);
                     prop_assert!(after.to_bits() <= before.to_bits(), "rose from {} to {}", before, after);

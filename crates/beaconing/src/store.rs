@@ -92,6 +92,19 @@ impl BeaconStore {
     /// Like [`BeaconStore::insert`], but also reports which entry the
     /// storage limit evicted (if any) so callers can trace evictions.
     pub fn insert_outcome(&mut self, beacon: StoredBeacon, now: SimTime) -> InsertOutcome {
+        if self.limit == Some(0) {
+            // Nothing is kept, so the newcomer is its own victim, and no
+            // group is made for it: `origins` lists no origin without a
+            // beacon.
+            return InsertOutcome {
+                changed: true,
+                evicted: Some(EvictedBeacon {
+                    origin: beacon.pcb.origin,
+                    hops: beacon.pcb.hop_count(),
+                    expired: beacon.pcb.is_expired(now),
+                }),
+            };
+        }
         let entries = self.by_origin.entry(beacon.pcb.origin).or_default();
 
         // Same path: the two beacons' hops compared where they lie.
@@ -350,7 +363,9 @@ mod tests {
 
     /// The store's insertion before a full group decided its eviction ahead
     /// of growing: push, then evict from the grown group. Kept as what the
-    /// store is compared against.
+    /// store is compared against, with one change: a group the eviction
+    /// empties (a limit of 0) is dropped, where the old insertion left it
+    /// empty in the map.
     mod reference {
         use super::super::*;
 
@@ -373,12 +388,16 @@ mod tests {
                     evicted: None,
                 };
             }
+            let origin = beacon.pcb.origin;
             entries.push(beacon);
             let mut evicted = None;
             if let Some(limit) = store.limit {
                 if entries.len() > limit {
                     evicted = Some(evict(entries, now));
                 }
+            }
+            if entries.is_empty() {
+                store.by_origin.remove(&origin);
             }
             InsertOutcome {
                 changed: true,
@@ -563,6 +582,7 @@ mod tests {
                     }
                     prop_assert_eq!(s.origins(), old.origins());
                     for o in s.origins() {
+                        prop_assert!(!s.by_origin[&o].is_empty(), "origin {} without a beacon", o);
                         prop_assert_eq!(live(&s, o, now), live(&old, o, now));
                     }
                     prop_assert_eq!(s.len(), old.len());

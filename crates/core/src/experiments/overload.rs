@@ -77,7 +77,7 @@ use scion_proto::segment::{PathSegment, SegmentType};
 use scion_reliable::{MsgId, ReliableConfig, ReliableSender, TimeoutAction};
 use scion_telemetry::profile::phase;
 use scion_telemetry::{ids, Label, Telemetry, TraceEvent};
-use scion_types::{Asn, Duration, IfId, Isd, IsdAsn, SimTime};
+use scion_types::{splitmix64, Asn, Duration, IfId, Isd, IsdAsn, SimTime};
 
 use crate::experiments::RunCtx;
 use crate::scale::ExperimentScale;
@@ -993,14 +993,6 @@ fn pick(cum: &[u64], h: u64) -> u32 {
     let total = *cum.last().expect("non-empty weight table");
     let x = h % total;
     cum.partition_point(|&c| c <= x) as u32
-}
-
-/// SplitMix64: the arrival schedule's stateless hash.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// `p`-th percentile of a sorted latency list (0 when empty).

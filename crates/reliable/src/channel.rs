@@ -15,7 +15,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use scion_types::{Duration, SimTime};
+use scion_types::{splitmix64, Duration, SimTime};
 use serde::Serialize;
 
 /// A monotonically-assigned message id, unique per [`ReliableSender`].
@@ -117,14 +117,6 @@ impl ReliableConfig {
     fn capped(&self, us: u64) -> Duration {
         Duration::from_micros(us.min(self.max_timeout.as_micros()))
     }
-}
-
-/// SplitMix64: a tiny stateless mixer, good enough for jitter spreading.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// What the driver must do when a deadline fires.
@@ -553,7 +545,6 @@ mod tests {
     /// final value: capped before the jitter, and the busy penalty applied
     /// on top of that.
     mod reference {
-        use super::super::splitmix64;
         use super::*;
 
         pub fn timeout_for(cfg: &ReliableConfig, id: MsgId, attempt: u32) -> u64 {

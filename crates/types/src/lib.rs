@@ -19,6 +19,6 @@ pub mod id;
 pub mod time;
 
 pub use error::{Error, Result};
-pub use fast_hash::{FastMap, FastSet};
+pub use fast_hash::{splitmix64, FastMap, FastSet};
 pub use id::{Asn, IfId, Isd, IsdAsn, LinkEnd, LinkId};
 pub use time::{Duration, SimTime};
