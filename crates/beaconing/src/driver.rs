@@ -31,8 +31,6 @@
 //! `tiny` and `small` scales, so there is almost never a second task for
 //! a second worker (EXPERIMENTS.md, "Why the beaconing driver is serial").
 
-use std::time::Instant;
-
 use scion_crypto::trc::TrustStore;
 use scion_proto::pcb::Pcb;
 use scion_proto::wire;
@@ -892,9 +890,7 @@ fn sample_gauges(
     wire: &Wire,
     servers: &[Option<BeaconServer>],
 ) {
-    // Measured manually (not via an RAII scope) because the scope would
-    // hold `tel.profile` mutably across the `tel.sample` calls below.
-    let started = tel.profile.is_enabled().then(Instant::now);
+    let span = tel.profile.span(phase::SAMPLING);
 
     tel.sample(
         now,
@@ -952,10 +948,7 @@ fn sample_gauges(
         total.messages as f64,
     );
 
-    if let Some(start) = started {
-        let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        tel.profile.record_ns(phase::SAMPLING, ns);
-    }
+    tel.profile.finish(span);
 }
 
 #[cfg(test)]

@@ -262,13 +262,12 @@ impl BeaconServer {
             originate,
             pcb_lifetime: self.cfg.pcb_lifetime,
         };
-        let picks = {
-            let _g = tel.profile.scope(phase::SELECTION);
-            match &mut self.algorithm {
-                AlgorithmState::Baseline(b) => b.select(&ctx, &self.store, now),
-                AlgorithmState::Diversity(d) => d.select(&ctx, &self.store, now),
-            }
+        let span = tel.profile.span(phase::SELECTION);
+        let picks = match &mut self.algorithm {
+            AlgorithmState::Baseline(b) => b.select(&ctx, &self.store, now),
+            AlgorithmState::Diversity(d) => d.select(&ctx, &self.store, now),
         };
+        tel.profile.finish(span);
 
         let timed = tel.profile.is_enabled();
         let mut originated = false;

@@ -91,16 +91,15 @@ pub fn run(ctx: &mut RunCtx) -> Fig5Result {
     // The monthly workload fans out over rayon internally, so only the
     // aggregate wall-clock phase is profiled here.
     tel.begin_run("bgp_month");
-    let monthly = {
-        let _g = tel.profile.scope(phase::BGP_MONTH);
-        monthly_overhead(
-            &world.internet,
-            &MonthlyConfig {
-                bgpsec_extrapolate_to: params.bgpsec_extrapolate_to,
-                ..MonthlyConfig::default()
-            },
-        )
-    };
+    let span = tel.profile.span(phase::BGP_MONTH);
+    let monthly = monthly_overhead(
+        &world.internet,
+        &MonthlyConfig {
+            bgpsec_extrapolate_to: params.bgpsec_extrapolate_to,
+            ..MonthlyConfig::default()
+        },
+    );
+    tel.profile.finish(span);
 
     // --- SCION core beaconing: baseline and diversity. ---
     let base_cfg = params.beaconing_config(scion_beaconing::Algorithm::Baseline);

@@ -32,7 +32,7 @@ use scion_proto::segment::{PathSegment, SegmentType};
 use scion_reliable::{DedupReceiver, MsgId, ReliableConfig, ReliableSender, TimeoutAction};
 use scion_simulator::{LossModel, Transmission};
 use scion_telemetry::{ids, Label, Telemetry};
-use scion_topology::{AsTopology, LinkIndex, Relationship};
+use scion_topology::{AsIndex, AsTopology, LinkIndex, Relationship};
 use scion_types::{Asn, Duration, IfId, Isd, IsdAsn, SimTime};
 
 use crate::experiments::fig6::sample_pairs;
@@ -272,9 +272,68 @@ pub fn run(ctx: &mut RunCtx) -> LossyResult {
 /// over, the link its ack returns on, and the segment.
 type Registration = (LinkIndex, LinkIndex, PathSegment);
 
+/// A path lookup on the reliable channel: the destination and its access
+/// link, which carries the hub's forward fetch.
+type Lookup = (IsdAsn, LinkIndex);
+
 /// True when a transmission over `link` was delivered by the loss model.
 fn delivered(loss: &mut LossModel, link: LinkIndex) -> bool {
     matches!(loss.transmit(link), Transmission::Delivered { .. })
+}
+
+/// The degradation leg's star and everything its attempts touch.
+struct Star {
+    hub: AsIndex,
+    /// Client C's link to the hub: both legs of every lookup.
+    c_link: LinkIndex,
+    loss: LossModel,
+    hub_ps: PathServer,
+    /// Client C's path server.
+    local: PathServer,
+    registrations: ReliableSender<Registration>,
+    lookups: ReliableSender<Lookup>,
+    /// The hub's duplicate suppression.
+    dedup: DedupReceiver,
+    stats: DegradationStats,
+}
+
+impl Star {
+    /// One registration copy on the wire: data leg, dedup + store, ack leg.
+    fn deliver_copy(&mut self, id: MsgId, (via, ack_link, seg): &Registration, now: SimTime) {
+        if !delivered(&mut self.loss, *via) {
+            return;
+        }
+        if self.dedup.accept(self.hub.as_usize(), id) {
+            self.hub_ps
+                .register_down_segment(seg.clone(), now)
+                .expect("hub is a core server");
+            self.stats.registrations_stored += 1;
+        }
+        if delivered(&mut self.loss, *ack_link) && self.registrations.on_ack(id) {
+            self.stats.registrations_acked += 1;
+        }
+    }
+
+    /// One query attempt: C→hub leg, then either the hub's own store
+    /// answers (response leg back) or the destination's access link must
+    /// carry the forward fetch.
+    fn fetch_once(&mut self, id: MsgId, (dst, access): Lookup, now: SimTime) {
+        if !delivered(&mut self.loss, self.c_link) {
+            return;
+        }
+        let answer = self
+            .hub_ps
+            .lookup_down(dst, now)
+            .expect("hub is a core server");
+        if answer.is_empty() {
+            let _ = delivered(&mut self.loss, access);
+            return;
+        }
+        if delivered(&mut self.loss, self.c_link) && self.lookups.on_ack(id) {
+            self.local.cache_insert(dst, answer, now);
+            self.stats.lookups_resolved += 1;
+        }
+    }
 }
 
 /// The degradation leg: a five-AS star whose engineered per-link loss
@@ -316,43 +375,25 @@ fn run_degradation_leg(seed: u64, tel: &mut Telemetry) -> DegradationStats {
             PathSegment::from_terminated_pcb(SegmentType::Down, pcb)
         };
 
-    let mut stats = DegradationStats::default();
-    let mut hub_ps = PathServer::new(ia(1), true);
-    let mut rel: ReliableSender<Registration> = ReliableSender::new(ReliableConfig {
-        seed,
-        ..ReliableConfig::default()
-    });
-    let mut dedup = DedupReceiver::new(topo.num_ases());
-    let mut now = SimTime::ZERO;
-
-    // One registration copy on the wire: data leg, dedup + store, ack leg.
-    let deliver_copy = |id: MsgId,
-                        via: LinkIndex,
-                        ack_link: LinkIndex,
-                        seg: &PathSegment,
-                        now: SimTime,
-                        loss: &mut LossModel,
-                        rel: &mut ReliableSender<Registration>,
-                        dedup: &mut DedupReceiver,
-                        hub_ps: &mut PathServer,
-                        stats: &mut DegradationStats| {
-        if !delivered(loss, via) {
-            return;
-        }
-        if dedup.accept(hub.as_usize(), id) {
-            hub_ps
-                .register_down_segment(seg.clone(), now)
-                .expect("hub is a core server");
-            stats.registrations_stored += 1;
-        }
-        if delivered(loss, ack_link) && rel.on_ack(id) {
-            stats.registrations_acked += 1;
-        }
+    let mut star = Star {
+        hub,
+        c_link,
+        loss,
+        hub_ps: PathServer::new(ia(1), true),
+        local: PathServer::new(ia(4), false),
+        registrations: ReliableSender::new(ReliableConfig {
+            seed,
+            ..ReliableConfig::default()
+        }),
+        lookups: ReliableSender::new(ReliableConfig::LOOKUP),
+        dedup: DedupReceiver::new(topo.num_ases()),
+        stats: DegradationStats::default(),
     };
+    let mut now = SimTime::ZERO;
 
     // A registers three long-lived segments over the flaky-ack pair; B
     // offers two over its dead link.
-    let offers: Vec<(LinkIndex, LinkIndex, PathSegment)> = vec![
+    let offers: Vec<Registration> = vec![
         (a_data, a_ack, down_seg(ia(2), 10, Duration::from_hours(12))),
         (a_data, a_ack, down_seg(ia(2), 11, Duration::from_hours(12))),
         (a_data, a_ack, down_seg(ia(2), 12, Duration::from_hours(12))),
@@ -367,152 +408,72 @@ fn run_degradation_leg(seed: u64, tel: &mut Telemetry) -> DegradationStats {
             down_seg(ia(3), 21, Duration::from_hours(12)),
         ),
     ];
-    for (via, ack_link, seg) in offers {
-        stats.registrations_offered += 1;
-        let id = rel.register(now, (via, ack_link, seg.clone()));
-        deliver_copy(
-            id,
-            via,
-            ack_link,
-            &seg,
-            now,
-            &mut loss,
-            &mut rel,
-            &mut dedup,
-            &mut hub_ps,
-            &mut stats,
-        );
+    for offer in offers {
+        star.stats.registrations_offered += 1;
+        let id = star.registrations.register(now, offer.clone());
+        star.deliver_copy(id, &offer, now);
     }
 
     // Retransmit pump. The ack path heals before the first retransmit
     // round, so each of A's segments settles on attempt two with exactly
     // one suppressed duplicate; B's exhaust the attempt budget.
     let mut first_round = true;
-    while let Some(deadline) = rel.next_deadline() {
+    while let Some(deadline) = star.registrations.next_deadline() {
         if deadline > now {
             now = deadline;
         }
         if first_round {
-            loss.set_link_loss(a_ack, 0.0);
+            star.loss.set_link_loss(a_ack, 0.0);
             first_round = false;
         }
-        for action in rel.due_actions(now) {
+        for action in star.registrations.due_actions(now) {
             match action {
-                TimeoutAction::Retransmit {
-                    id,
-                    payload: (via, ack_link, seg),
-                } => {
-                    stats.registration_retransmits += 1;
-                    deliver_copy(
-                        id,
-                        via,
-                        ack_link,
-                        &seg,
-                        now,
-                        &mut loss,
-                        &mut rel,
-                        &mut dedup,
-                        &mut hub_ps,
-                        &mut stats,
-                    );
+                TimeoutAction::Retransmit { id, payload } => {
+                    star.stats.registration_retransmits += 1;
+                    star.deliver_copy(id, &payload, now);
                 }
-                TimeoutAction::GiveUp { .. } => stats.registrations_abandoned += 1,
+                TimeoutAction::GiveUp { .. } => star.stats.registrations_abandoned += 1,
             }
         }
     }
-    stats.registration_duplicates = dedup.duplicates();
+    star.stats.registration_duplicates = star.dedup.duplicates();
 
     // Lookup leg, hours later: C resolves A (fresh via the hub's store),
     // B (hub empty, dead forward leg → unreachable), and D (dead forward
     // leg, but C holds a recently-expired cached segment → degraded).
-    let mut local = PathServer::new(ia(4), false);
-    local.cache_insert(
+    star.local.cache_insert(
         ia(5),
         vec![down_seg(ia(5), 30, Duration::from_hours(6))],
         SimTime::ZERO,
     );
-    let mut lookups: ReliableSender<IsdAsn> = ReliableSender::new(ReliableConfig::LOOKUP);
     now = SimTime::ZERO + Duration::from_hours(6) + Duration::from_mins(30);
 
-    // One query attempt: C→hub leg, then either the hub's own store
-    // answers (response leg back) or the destination's access link must
-    // carry the forward fetch.
-    let fetch_once = |id: MsgId,
-                      dst: IsdAsn,
-                      access: LinkIndex,
-                      now: SimTime,
-                      loss: &mut LossModel,
-                      hub_ps: &PathServer,
-                      lookups: &mut ReliableSender<IsdAsn>,
-                      local: &mut PathServer,
-                      stats: &mut DegradationStats| {
-        if !delivered(loss, c_link) {
-            return;
-        }
-        let answer = hub_ps.lookup_down(dst, now).expect("hub is a core server");
-        if answer.is_empty() {
-            let _ = delivered(loss, access);
-            return;
-        }
-        if delivered(loss, c_link) && lookups.on_ack(id) {
-            local.cache_insert(dst, answer, now);
-            stats.lookups_resolved += 1;
-        }
-    };
-    let access_link = |dst: IsdAsn| {
-        if dst == ia(2) {
-            a_data
-        } else if dst == ia(3) {
-            b_link
-        } else {
-            d_link
-        }
-    };
-
-    for dst in [ia(2), ia(3), ia(5)] {
-        if local.negative_cached(dst, now) {
-            stats.negative_hits += 1;
+    for (dst, access) in [(ia(2), a_data), (ia(3), b_link), (ia(5), d_link)] {
+        if star.local.negative_cached(dst, now) {
+            star.stats.negative_hits += 1;
             continue;
         }
-        stats.lookups_started += 1;
-        let id = lookups.register(now, dst);
-        fetch_once(
-            id,
-            dst,
-            access_link(dst),
-            now,
-            &mut loss,
-            &hub_ps,
-            &mut lookups,
-            &mut local,
-            &mut stats,
-        );
+        star.stats.lookups_started += 1;
+        let id = star.lookups.register(now, (dst, access));
+        star.fetch_once(id, (dst, access), now);
     }
-    while let Some(deadline) = lookups.next_deadline() {
+    while let Some(deadline) = star.lookups.next_deadline() {
         if deadline > now {
             now = deadline;
         }
-        for action in lookups.due_actions(now) {
+        for action in star.lookups.due_actions(now) {
             match action {
-                TimeoutAction::Retransmit { id, payload: dst } => {
-                    stats.lookup_retries += 1;
-                    fetch_once(
-                        id,
-                        dst,
-                        access_link(dst),
-                        now,
-                        &mut loss,
-                        &hub_ps,
-                        &mut lookups,
-                        &mut local,
-                        &mut stats,
-                    );
+                TimeoutAction::Retransmit { id, payload } => {
+                    star.stats.lookup_retries += 1;
+                    star.fetch_once(id, payload, now);
                 }
-                TimeoutAction::GiveUp { payload: dst, .. } => {
-                    stats.lookups_exhausted += 1;
-                    match local.degrade(dst, now) {
-                        Some(_) => stats.degraded_serves += 1,
-                        None => stats.unreachable_verdicts += 1,
+                TimeoutAction::GiveUp {
+                    payload: (dst, _), ..
+                } => {
+                    star.stats.lookups_exhausted += 1;
+                    match star.local.degrade(dst, now) {
+                        Some(_) => star.stats.degraded_serves += 1,
+                        None => star.stats.unreachable_verdicts += 1,
                     }
                 }
             }
@@ -520,9 +481,10 @@ fn run_degradation_leg(seed: u64, tel: &mut Telemetry) -> DegradationStats {
     }
     // A follow-up lookup for B short-circuits on the negative verdict
     // instead of relaunching the retry storm.
-    if local.negative_cached(ia(3), now) {
-        stats.negative_hits += 1;
+    if star.local.negative_cached(ia(3), now) {
+        star.stats.negative_hits += 1;
     }
+    let stats = star.stats;
 
     tel.inc(
         ids::RELIABLE_RETRANSMITS,

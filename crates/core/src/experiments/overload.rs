@@ -543,7 +543,7 @@ fn run_arm(
         let now = world.t0 + Duration::from_micros(t * p.tick_us);
         run.upstream_tick(t, now, tel);
 
-        let wall = std::time::Instant::now();
+        let span = tel.profile.span(phase::OVERLOAD_ADMIT);
         let mut shed_counts = ShedCounts::default();
         // Due retries first: they re-enter the queue ahead of this tick's
         // fresh arrivals at equal priority (their offer time is `now` too,
@@ -594,13 +594,11 @@ fn run_arm(
             .as_ref()
             .map_or(run.fifo.len(), |s| s.queue.len());
         tel.sample(now, ids::PS_QUEUE_DEPTH, Label::Global, depth as f64);
-        tel.profile
-            .record_ns(phase::OVERLOAD_ADMIT, wall.elapsed().as_nanos() as u64);
+        tel.profile.finish(span);
 
-        let wall = std::time::Instant::now();
+        let span = tel.profile.span(phase::OVERLOAD_SERVE);
         run.service_tick(t, now, tel);
-        tel.profile
-            .record_ns(phase::OVERLOAD_SERVE, wall.elapsed().as_nanos() as u64);
+        tel.profile.finish(span);
     }
 
     run.finish(tel)

@@ -22,7 +22,8 @@
 //!   (c) falls back to a bounded-retry query against the path server,
 //!   retried on the [`ReliableConfig::LOOKUP`] ladder.
 //!
-//! Three arms over the identical schedule, flows, and latency model:
+//! Three arms over the identical schedule, flows, and latency model, one
+//! row each of the `ARMS` table (`failover`, `requery`):
 //!
 //! | arm | SCMP at endhost | path-server re-query |
 //! |-----|-----------------|----------------------|
@@ -30,13 +31,17 @@
 //! | `scmp_failover` | instant failover over cached paths | no |
 //! | `scmp_requery`  | instant failover over cached paths | yes, when all cached paths are dead |
 //!
+//! An arm without failover schedules the reconvergence timer; an arm with
+//! re-query holds one lookup retry wheel, a [`ReliableSender`] whose
+//! payload is the flow index, and arms one engine timer per deadline a
+//! query or a retransmit sets.
+//!
 //! Every event runs through one [`Engine`] per arm, so all latencies are
 //! virtual and deterministic; recording runs produce byte-identical
 //! `metrics`/`series`/`trace` JSONL across reruns
 //! (`tests/recovery_determinism.rs`).
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::time::Instant;
 
 use serde::Serialize;
 
@@ -106,8 +111,7 @@ const KIND_TICK: u32 = 0;
 const KIND_FAULT: u32 = 1;
 const KIND_RECONVERGE: u32 = 2;
 const KIND_RESTORE: u32 = 3;
-/// Lookup deadline check; the timer's `node` carries the *flow index*
-/// (not a real AS) as its discriminator.
+/// A deadline of the lookup retry wheel is due.
 const KIND_LOOKUP: u32 = 4;
 
 /// Events on the wire (and local arrivals) between the planes.
@@ -128,26 +132,37 @@ enum Msg {
     },
 }
 
-/// Which recovery mechanisms the endhost runs.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ArmKind {
-    /// SCMP counted but ignored; recovery only via periodic reconvergence.
-    NoFailover,
-    /// SCMP marks dead paths; instant failover over the cached set.
-    ScmpFailover,
-    /// Failover plus bounded-retry re-query when all cached paths die.
-    ScmpRequery,
+/// One arm of the experiment: its record name and telemetry run label,
+/// and the recovery mechanisms its endhosts run.
+struct ArmSpec {
+    name: &'static str,
+    /// SCMP marks dead paths and the flow fails over at once over its
+    /// cached set. Without it SCMP is counted and ignored, and every
+    /// daemon re-installs the server's live view each
+    /// [`RECONVERGE_INTERVAL`].
+    failover: bool,
+    /// A flow whose cached paths are all dead re-queries the path server.
+    requery: bool,
 }
 
-impl ArmKind {
-    fn label(self) -> &'static str {
-        match self {
-            ArmKind::NoFailover => "no_failover",
-            ArmKind::ScmpFailover => "scmp_failover",
-            ArmKind::ScmpRequery => "scmp_requery",
-        }
-    }
-}
+/// The three arms, in record order.
+const ARMS: [ArmSpec; 3] = [
+    ArmSpec {
+        name: "no_failover",
+        failover: false,
+        requery: false,
+    },
+    ArmSpec {
+        name: "scmp_failover",
+        failover: true,
+        requery: false,
+    },
+    ArmSpec {
+        name: "scmp_requery",
+        failover: true,
+        requery: true,
+    },
+];
 
 /// A sender→receiver pair with its precomputed link-disjoint paths.
 struct Flow {
@@ -168,8 +183,7 @@ struct Flow {
 /// Per-flow mutable state inside one arm.
 struct FlowState {
     daemon: ScionDaemon,
-    /// The flow's lookup retry wheel (arm (c), created on first use).
-    lookups: Option<ReliableSender<()>>,
+    /// The flow's query on the lookup wheel, at most one at a time.
     pending_query: Option<MsgId>,
     sent: u64,
     delivered: u64,
@@ -200,7 +214,6 @@ impl FlowState {
         daemon.install_paths(flow.dst_ia, cached);
         FlowState {
             daemon,
-            lookups: None,
             pending_query: None,
             sent: 0,
             delivered: 0,
@@ -219,7 +232,7 @@ impl FlowState {
 }
 
 /// One arm of the experiment.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct RecoveryArm {
     pub name: &'static str,
     /// Packets handed to the dataplane.
@@ -403,7 +416,11 @@ fn primary_links_by_load(flows: &[Flow]) -> Vec<LinkIndex> {
 
 /// One arm's simulation: everything but the immutable workload.
 struct Sim<'a> {
-    arm: ArmKind,
+    /// The arm's [`ArmSpec::failover`].
+    failover: bool,
+    /// The flows' lookup retry wheel, payload the flow index; present
+    /// when the arm re-queries.
+    lookups: Option<ReliableSender<usize>>,
     topo: &'a AsTopology,
     latency: &'a LatencyModel,
     flows: &'a [Flow],
@@ -418,21 +435,15 @@ struct Sim<'a> {
     expiry: SimTime,
     end: SimTime,
     restore_armed: Option<SimTime>,
-    // Arm-level counters (kept here so disabled-telemetry runs still
-    // produce the full result).
-    scmp_received: u64,
-    failovers: u64,
-    restorations: u64,
-    requeries: u64,
-    requeries_exhausted: u64,
-    revocation_signals: u64,
-    segments_revoked: u64,
-    segments_restored: u64,
+    /// The arm's record: the counters the handlers keep are written here
+    /// as they happen (so a run without telemetry still has them), the
+    /// rest by [`Sim::into_arm`].
+    out: RecoveryArm,
 }
 
 impl<'a> Sim<'a> {
     fn new(
-        arm: ArmKind,
+        arm: &ArmSpec,
         topo: &'a AsTopology,
         latency: &'a LatencyModel,
         flows: &'a [Flow],
@@ -453,7 +464,10 @@ impl<'a> Sim<'a> {
             }
         }
         Sim {
-            arm,
+            failover: arm.failover,
+            lookups: arm
+                .requery
+                .then(|| ReliableSender::new(ReliableConfig::LOOKUP)),
             topo,
             latency,
             flows,
@@ -468,14 +482,10 @@ impl<'a> Sim<'a> {
             expiry: SimTime::ZERO + SEG_LIFETIME,
             end: SimTime::ZERO + WINDOW,
             restore_armed: None,
-            scmp_received: 0,
-            failovers: 0,
-            restorations: 0,
-            requeries: 0,
-            requeries_exhausted: 0,
-            revocation_signals: 0,
-            segments_revoked: 0,
-            segments_restored: 0,
+            out: RecoveryArm {
+                name: arm.name,
+                ..RecoveryArm::default()
+            },
         }
     }
 
@@ -485,7 +495,7 @@ impl<'a> Sim<'a> {
         for (at, _) in self.schedule {
             engine.schedule_timer(*at, AsIndex(0), KIND_FAULT);
         }
-        if self.arm == ArmKind::NoFailover {
+        if !self.failover {
             engine.schedule_timer(
                 SimTime::ZERO + RECONVERGE_INTERVAL,
                 AsIndex(0),
@@ -508,9 +518,8 @@ impl<'a> Sim<'a> {
                     kind: KIND_RESTORE, ..
                 } => self.on_restore(now, &mut engine, tel),
                 Event::Timer {
-                    node,
-                    kind: KIND_LOOKUP,
-                } => self.on_lookup_deadline(node.as_usize(), now, &mut engine, tel),
+                    kind: KIND_LOOKUP, ..
+                } => self.on_lookup_deadline(now, &mut engine, tel),
                 Event::Timer { .. } => unreachable!("unknown timer kind"),
                 Event::Deliver { msg, .. } => match msg {
                     Msg::Arrival { flow, sent_at } => self.on_arrival(flow, sent_at, now),
@@ -536,7 +545,7 @@ impl<'a> Sim<'a> {
     }
 
     fn on_tick(&mut self, now: SimTime, engine: &mut Engine<Msg>, tel: &mut Telemetry) {
-        let wall = Instant::now();
+        let span = tel.profile.span(phase::RECOVERY_TICK);
         let mut sends: Vec<(usize, EndToEndPath)> = Vec::new();
         for fi in 0..self.flows.len() {
             if let Some(path) = self.choose_path(fi, now, engine, tel) {
@@ -544,8 +553,7 @@ impl<'a> Sim<'a> {
             }
         }
         self.dispatch_sends(&sends, now, engine, tel);
-        tel.profile
-            .record_ns(phase::RECOVERY_TICK, wall.elapsed().as_nanos() as u64);
+        tel.profile.finish(span);
         let next = now + TICK_INTERVAL;
         if next <= self.end {
             engine.schedule_timer(next, AsIndex(0), KIND_TICK);
@@ -554,7 +562,7 @@ impl<'a> Sim<'a> {
 
     /// Asks the flow's daemon for its current best path, emitting
     /// failover/restoration transitions; `None` records a no-path drop
-    /// (and, in arm (c), triggers a re-query).
+    /// (and, in an arm that re-queries, starts a query).
     fn choose_path(
         &mut self,
         fi: usize,
@@ -571,7 +579,7 @@ impl<'a> Sim<'a> {
                     if links != flow.path_links[0] {
                         if !fs.failed_over {
                             fs.failed_over = true;
-                            self.failovers += 1;
+                            self.out.failovers += 1;
                             tel.inc(ids::RECOVERY_FAILOVERS, Label::As(flow.src.0), 1);
                             tel.trace_event(now, || TraceEvent::PathFailedOver {
                                 node: flow.src.0,
@@ -580,7 +588,7 @@ impl<'a> Sim<'a> {
                         }
                     } else if fs.failed_over {
                         fs.failed_over = false;
-                        self.restorations += 1;
+                        self.out.path_restorations += 1;
                         tel.inc(ids::RECOVERY_RESTORED, Label::As(flow.src.0), 1);
                         tel.trace_event(now, || TraceEvent::PathRestored {
                             node: flow.src.0,
@@ -601,9 +609,7 @@ impl<'a> Sim<'a> {
                     node: flow.src.0,
                     reason: "no_path",
                 });
-                if self.arm == ArmKind::ScmpRequery {
-                    self.begin_query(fi, now, engine, tel);
-                }
+                self.begin_query(fi, now, engine, tel);
                 None
             }
         }
@@ -727,9 +733,9 @@ impl<'a> Sim<'a> {
         engine: &mut Engine<Msg>,
         tel: &mut Telemetry,
     ) {
-        let wall = Instant::now();
+        let span = tel.profile.span(phase::RECOVERY_SCMP);
         let flow = &self.flows[fi];
-        self.scmp_received += 1;
+        self.out.scmp_received += 1;
         tel.inc(ids::RECOVERY_SCMP_RECEIVED, Label::As(flow.src.0), 1);
         if let ScmpMessage::ExternalInterfaceDown { at, interface, .. } = scmp {
             let (origin, ifid) = (*at, interface.0);
@@ -741,29 +747,23 @@ impl<'a> Sim<'a> {
         }
         let first = self.fstates[fi].first_scmp_at.is_none();
         self.fstates[fi].first_scmp_at.get_or_insert(now);
-        if self.arm == ArmKind::NoFailover {
-            // Baseline endhosts count the signal but never act on it.
-            tel.profile
-                .record_ns(phase::RECOVERY_SCMP, wall.elapsed().as_nanos() as u64);
-            return;
+        // Without failover the endhost counts the signal but never acts
+        // on it.
+        if self.failover {
+            self.fstates[fi].daemon.handle_scmp(scmp, now);
+            if first {
+                // The §4.1 claim: at the instant the failure notification
+                // lands, a usable cached alternative already exists.
+                let dst = flow.dst_ia;
+                let usable = self.fstates[fi].daemon.best_path_at(dst, now).is_some();
+                self.fstates[fi].fast_failover = usable;
+            }
+            // Immediate retransmit on whatever the daemon now prefers.
+            if let Some(path) = self.choose_path(fi, now, engine, tel) {
+                self.dispatch_sends(&[(fi, path)], now, engine, tel);
+            }
         }
-        self.fstates[fi].daemon.handle_scmp(scmp, now);
-        if first {
-            // The §4.1 claim: at the instant the failure notification
-            // lands, a usable cached alternative already exists.
-            let dst = flow.dst_ia;
-            let usable = self.fstates[fi].daemon.best_path_at(dst, now).is_some();
-            self.fstates[fi].fast_failover = usable;
-        }
-        // Immediate retransmit on whatever the daemon now prefers.
-        let retransmit = self
-            .choose_path(fi, now, engine, tel)
-            .map(|p| vec![(fi, p)]);
-        if let Some(sends) = retransmit {
-            self.dispatch_sends(&sends, now, engine, tel);
-        }
-        tel.profile
-            .record_ns(phase::RECOVERY_SCMP, wall.elapsed().as_nanos() as u64);
+        tel.profile.finish(span);
     }
 
     fn on_revoke(
@@ -773,8 +773,8 @@ impl<'a> Sim<'a> {
         engine: &mut Engine<Msg>,
         tel: &mut Telemetry,
     ) {
-        let wall = Instant::now();
-        self.revocation_signals += 1;
+        let span = tel.profile.span(phase::RECOVERY_SCMP);
+        self.out.revocation_signals += 1;
         let revoked = revoke_for_scmp(
             &mut self.ps,
             &mut self.table,
@@ -784,10 +784,9 @@ impl<'a> Sim<'a> {
             now,
             tel,
         );
-        self.segments_revoked += revoked as u64;
+        self.out.segments_revoked += revoked as u64;
         self.arm_restore_timer(now, engine);
-        tel.profile
-            .record_ns(phase::RECOVERY_SCMP, wall.elapsed().as_nanos() as u64);
+        tel.profile.finish(span);
     }
 
     /// Keeps one restore timer armed at the revocation table's next
@@ -811,14 +810,14 @@ impl<'a> Sim<'a> {
         if self.restore_armed == Some(now) {
             self.restore_armed = None;
         }
-        self.segments_restored +=
+        self.out.segments_restored +=
             restore_lapsed_revocations(&mut self.ps, &mut self.table, now, tel) as u64;
         self.arm_restore_timer(now, engine);
     }
 
-    /// Arm (a)'s periodic reconvergence: every daemon re-installs the path
-    /// server's current live (unrevoked, unexpired) view for its
-    /// destination — the no-SCMP recovery baseline.
+    /// Periodic reconvergence (an arm without failover): every daemon
+    /// re-installs the path server's current live (unrevoked, unexpired)
+    /// view for its destination — the no-SCMP recovery baseline.
     fn on_reconverge(&mut self, now: SimTime, engine: &mut Engine<Msg>) {
         for fi in 0..self.flows.len() {
             let flow = &self.flows[fi];
@@ -847,6 +846,9 @@ impl<'a> Sim<'a> {
             .collect()
     }
 
+    /// Sends flow `fi` a query to the path server and arms a timer at its
+    /// first deadline, unless the arm does not re-query or the flow
+    /// already waits on one.
     fn begin_query(
         &mut self,
         fi: usize,
@@ -854,16 +856,16 @@ impl<'a> Sim<'a> {
         engine: &mut Engine<Msg>,
         tel: &mut Telemetry,
     ) {
-        if self.fstates[fi].pending_query.is_some() {
+        let Some(lookups) = self.lookups.as_mut() else {
+            return;
+        };
+        let fs = &mut self.fstates[fi];
+        if fs.pending_query.is_some() {
             return;
         }
-        let lookups = self.fstates[fi]
-            .lookups
-            .get_or_insert_with(|| ReliableSender::new(ReliableConfig::LOOKUP));
-        let id = lookups.register(now, ());
-        let deadline = lookups.next_deadline();
-        self.fstates[fi].pending_query = Some(id);
-        self.requeries += 1;
+        let id = lookups.register(now, fi);
+        fs.pending_query = Some(id);
+        self.out.requeries += 1;
         tel.inc(ids::RECOVERY_REQUERIES, Label::As(self.flows[fi].src.0), 1);
         engine.send_at(
             now + QUERY_DELAY,
@@ -871,8 +873,8 @@ impl<'a> Sim<'a> {
             LinkIndex(0),
             Msg::Query { flow: fi, id },
         );
-        if let Some(at) = deadline {
-            engine.schedule_timer(at.max(now), AsIndex(fi as u32), KIND_LOOKUP);
+        if let Some(at) = lookups.deadline(id) {
+            engine.schedule_timer(at, AsIndex(0), KIND_LOOKUP);
         }
     }
 
@@ -884,7 +886,7 @@ impl<'a> Sim<'a> {
         engine: &mut Engine<Msg>,
         tel: &mut Telemetry,
     ) {
-        let wall = Instant::now();
+        let span = tel.profile.span(phase::RECOVERY_REQUERY);
         let flow = &self.flows[fi];
         let paths = self.live_paths_for(flow.src_ia, flow.dst_ia, now);
         // A server with nothing live stays silent; the lookup's timeout
@@ -901,8 +903,7 @@ impl<'a> Sim<'a> {
                 },
             );
         }
-        tel.profile
-            .record_ns(phase::RECOVERY_REQUERY, wall.elapsed().as_nanos() as u64);
+        tel.profile.finish(span);
     }
 
     fn on_response(
@@ -914,9 +915,9 @@ impl<'a> Sim<'a> {
         engine: &mut Engine<Msg>,
         tel: &mut Telemetry,
     ) {
-        let wall = Instant::now();
+        let span = tel.profile.span(phase::RECOVERY_REQUERY);
         let dst = self.flows[fi].dst_ia;
-        if let Some(lookups) = self.fstates[fi].lookups.as_mut() {
+        if let Some(lookups) = self.lookups.as_mut() {
             lookups.on_ack(id);
         }
         if self.fstates[fi].pending_query == Some(id) {
@@ -925,54 +926,45 @@ impl<'a> Sim<'a> {
         // The server's answer is authoritative even if the wheel had
         // already given this attempt up.
         self.fstates[fi].daemon.install_paths(dst, paths);
-        let retransmit = self
-            .choose_path(fi, now, engine, tel)
-            .map(|p| vec![(fi, p)]);
-        if let Some(sends) = retransmit {
-            self.dispatch_sends(&sends, now, engine, tel);
+        if let Some(path) = self.choose_path(fi, now, engine, tel) {
+            self.dispatch_sends(&[(fi, path)], now, engine, tel);
         }
-        tel.profile
-            .record_ns(phase::RECOVERY_REQUERY, wall.elapsed().as_nanos() as u64);
+        tel.profile.finish(span);
     }
 
-    fn on_lookup_deadline(
-        &mut self,
-        fi: usize,
-        now: SimTime,
-        engine: &mut Engine<Msg>,
-        tel: &mut Telemetry,
-    ) {
-        let wall = Instant::now();
-        let src = self.flows[fi].src.0;
-        let (actions, next) = match self.fstates[fi].lookups.as_mut() {
-            Some(lookups) => (lookups.due_actions(now), lookups.next_deadline()),
-            None => (Vec::new(), None),
-        };
-        for action in actions {
+    /// Re-sends every due query, arming a timer at its next deadline, and
+    /// drops the ones out of attempts.
+    fn on_lookup_deadline(&mut self, now: SimTime, engine: &mut Engine<Msg>, tel: &mut Telemetry) {
+        let span = tel.profile.span(phase::RECOVERY_REQUERY);
+        let lookups = self
+            .lookups
+            .as_mut()
+            .expect("only an arm that re-queries arms lookup timers");
+        for action in lookups.due_actions(now) {
             match action {
-                TimeoutAction::Retransmit { id, .. } => {
-                    self.requeries += 1;
-                    tel.inc(ids::RECOVERY_REQUERIES, Label::As(src), 1);
+                TimeoutAction::Retransmit { id, payload: fi } => {
+                    self.out.requeries += 1;
+                    tel.inc(ids::RECOVERY_REQUERIES, Label::As(self.flows[fi].src.0), 1);
                     engine.send_at(
                         now + QUERY_DELAY,
                         self.ps_node,
                         LinkIndex(0),
                         Msg::Query { flow: fi, id },
                     );
+                    if let Some(at) = lookups.deadline(id) {
+                        engine.schedule_timer(at, AsIndex(0), KIND_LOOKUP);
+                    }
                 }
-                TimeoutAction::GiveUp { id, .. } => {
-                    self.requeries_exhausted += 1;
-                    if self.fstates[fi].pending_query == Some(id) {
-                        self.fstates[fi].pending_query = None;
+                TimeoutAction::GiveUp { id, payload: fi } => {
+                    self.out.requeries_exhausted += 1;
+                    let fs = &mut self.fstates[fi];
+                    if fs.pending_query == Some(id) {
+                        fs.pending_query = None;
                     }
                 }
             }
         }
-        if let Some(at) = next {
-            engine.schedule_timer(at.max(now), AsIndex(fi as u32), KIND_LOOKUP);
-        }
-        tel.profile
-            .record_ns(phase::RECOVERY_REQUERY, wall.elapsed().as_nanos() as u64);
+        tel.profile.finish(span);
     }
 
     fn into_arm(self, victim: Option<usize>) -> RecoveryArm {
@@ -997,20 +989,11 @@ impl<'a> Sim<'a> {
             })
             .count();
         RecoveryArm {
-            name: self.arm.label(),
             packets_sent: self.fstates.iter().map(|fs| fs.sent).sum(),
             delivered: self.fstates.iter().map(|fs| fs.delivered).sum(),
             lost: self.fstates.iter().map(|fs| fs.lost).sum(),
             no_path_drops: self.fstates.iter().map(|fs| fs.no_path).sum(),
             affected_flows: affected.len(),
-            scmp_received: self.scmp_received,
-            failovers: self.failovers,
-            path_restorations: self.restorations,
-            requeries: self.requeries,
-            requeries_exhausted: self.requeries_exhausted,
-            revocation_signals: self.revocation_signals,
-            segments_revoked: self.segments_revoked,
-            segments_restored: self.segments_restored,
             scmp_admitted: self.limiter.admitted(),
             scmp_suppressed: self.limiter.suppressed(),
             fast_failover_flows: fast.len(),
@@ -1018,6 +1001,7 @@ impl<'a> Sim<'a> {
             victim_max_outage_us: victim.map(|fi| self.fstates[fi].max_outage.as_micros()),
             outage_us: OutageCdf::of(outages),
             packets_lost: OutageCdf::of(losses),
+            ..self.out
         }
     }
 }
@@ -1077,13 +1061,9 @@ pub fn run(ctx: &mut RunCtx) -> RecoveryResult {
         SimTime::ZERO + Duration::from_days(30),
     );
 
-    let mut arms = Vec::with_capacity(3);
-    for arm in [
-        ArmKind::NoFailover,
-        ArmKind::ScmpFailover,
-        ArmKind::ScmpRequery,
-    ] {
-        tel.begin_run(arm.label());
+    let mut arms = Vec::with_capacity(ARMS.len());
+    for arm in &ARMS {
+        tel.begin_run(arm.name);
         let mut sim = Sim::new(arm, topo, &latency, &flows, schedule.events(), &trust);
         sim.run(tel);
         arms.push(sim.into_arm(victim));

@@ -1,5 +1,5 @@
 //! CAIDA `as-rel` backend: the existing `scion-topology` parser adapted
-//! onto the [`TopologySource`] trait.
+//! onto the shared raw edge list.
 //!
 //! Parsing itself stays in [`scion_topology::caida`] (it is also used
 //! directly by tests and the serializer); this module converts its output
@@ -7,42 +7,12 @@
 //! normalization pipeline as every other backend.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
 use scion_topology::caida::{parse_as_rel, ParseError};
 use scion_topology::{AsTopology, Relationship};
 
 use crate::error::IngestError;
 use crate::raw::{RawRel, RawTopology};
-use crate::{Provenance, TopologySource};
-
-/// A CAIDA `as-rel`(+multiplicity) document on disk.
-#[derive(Clone, Debug)]
-pub struct AsRelSource {
-    path: PathBuf,
-}
-
-impl AsRelSource {
-    /// A source reading from `path` at load time.
-    pub fn new(path: impl Into<PathBuf>) -> AsRelSource {
-        AsRelSource { path: path.into() }
-    }
-}
-
-impl TopologySource for AsRelSource {
-    fn provenance(&self) -> Provenance {
-        Provenance {
-            kind: "as-rel",
-            origin: self.path.display().to_string(),
-        }
-    }
-
-    fn load_raw(&self) -> Result<RawTopology, IngestError> {
-        let text =
-            std::fs::read_to_string(&self.path).map_err(|e| IngestError::io(&self.path, e))?;
-        parse_as_rel_raw(&text)
-    }
-}
 
 /// Parses an `as-rel` document into the raw edge list (pre-normalization).
 pub fn parse_as_rel_raw(text: &str) -> Result<RawTopology, IngestError> {

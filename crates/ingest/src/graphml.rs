@@ -22,39 +22,9 @@
 //! A `mult` (or `parallel`) data attribute carries parallel-link counts.
 
 use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
 
 use crate::error::IngestError;
 use crate::raw::{RawRel, RawTopology};
-use crate::{Provenance, TopologySource};
-
-/// A GraphML document on disk.
-#[derive(Clone, Debug)]
-pub struct GraphmlSource {
-    path: PathBuf,
-}
-
-impl GraphmlSource {
-    /// A source reading from `path` at load time.
-    pub fn new(path: impl Into<PathBuf>) -> GraphmlSource {
-        GraphmlSource { path: path.into() }
-    }
-}
-
-impl TopologySource for GraphmlSource {
-    fn provenance(&self) -> Provenance {
-        Provenance {
-            kind: "graphml",
-            origin: self.path.display().to_string(),
-        }
-    }
-
-    fn load_raw(&self) -> Result<RawTopology, IngestError> {
-        let text =
-            std::fs::read_to_string(&self.path).map_err(|e| IngestError::io(&self.path, e))?;
-        parse_graphml(&text)
-    }
-}
 
 fn err(message: impl Into<String>) -> IngestError {
     IngestError::Parse {

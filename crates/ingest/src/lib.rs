@@ -3,13 +3,14 @@
 //! Real deployments don't get their AS graph from one blessed file
 //! format: CAIDA publishes `as-rel` relationship dumps, Topology Zoo
 //! ships GraphML, and route collectors emit RIB/AS-path tables. This
-//! crate puts all of them behind one trait:
+//! crate reads all of them through one [`SourceSpec::load`], which picks
+//! the parser by the spec's kind ([`asrel`], [`graphml`], [`rib`]):
 //!
 //! ```text
-//!   AsRelSource ─┐
-//!   GraphmlSource ├─ load_raw() → RawTopology → normalize() → CanonicalTopology
-//!   RibSource ───┘                                   │
-//!                                  IxpOverlay::apply ┘ (optional enrichment)
+//!   as-rel:  parse_as_rel_raw ─┐
+//!   graphml: parse_graphml ────├─ RawTopology → normalize() → CanonicalTopology
+//!   rib:     parse_rib ────────┘                                   │
+//!                                                IxpOverlay::apply ┘ (optional enrichment)
 //! ```
 //!
 //! Every backend parses into the same [`raw::RawTopology`] edge list and
@@ -41,14 +42,15 @@ use std::path::{Path, PathBuf};
 
 use scion_topology::AsTopology;
 
-pub use asrel::AsRelSource;
+use asrel::parse_as_rel_raw;
+use graphml::parse_graphml;
+use rib::parse_rib;
+
 pub use error::IngestError;
 pub use export::{canonical_json, DegreeQuantiles, TopologyStats};
-pub use graphml::GraphmlSource;
 pub use ixp::{IxpApplyReport, IxpOverlay};
 pub use normalize::{normalize, CanonicalEdge, CanonicalTopology, NormalizeReport};
 pub use raw::{RawEdge, RawRel, RawTopology};
-pub use rib::RibSource;
 
 /// Where a topology came from, for reproducibility records.
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize)]
@@ -57,22 +59,6 @@ pub struct Provenance {
     pub kind: &'static str,
     /// The concrete origin (file path).
     pub origin: String,
-}
-
-/// A topology backend: parses some external format into the shared raw
-/// edge list. The provided [`TopologySource::load`] method runs the
-/// shared normalization pipeline on top.
-pub trait TopologySource {
-    /// Identifies this source for reproducibility records.
-    fn provenance(&self) -> Provenance;
-
-    /// Parses the source into the pre-normalization edge list.
-    fn load_raw(&self) -> Result<RawTopology, IngestError>;
-
-    /// Parses and normalizes: the canonical topology every consumer uses.
-    fn load(&self) -> Result<CanonicalTopology, IngestError> {
-        normalize(&self.load_raw()?)
-    }
 }
 
 /// The backend kinds a [`SourceSpec`] can name.
@@ -128,13 +114,17 @@ impl SourceSpec {
         })
     }
 
-    /// Instantiates the backend this spec names.
-    pub fn open(&self) -> Box<dyn TopologySource> {
-        match self.kind {
-            SourceKind::AsRel => Box::new(AsRelSource::new(&self.path)),
-            SourceKind::Graphml => Box::new(GraphmlSource::new(&self.path)),
-            SourceKind::Rib => Box::new(RibSource::new(&self.path)),
-        }
+    /// Reads the file this spec names, parses it with its kind's parser
+    /// and normalizes it: the canonical topology every consumer uses.
+    pub fn load(&self) -> Result<CanonicalTopology, IngestError> {
+        let text =
+            std::fs::read_to_string(&self.path).map_err(|e| IngestError::io(&self.path, e))?;
+        let raw = match self.kind {
+            SourceKind::AsRel => parse_as_rel_raw(&text)?,
+            SourceKind::Graphml => parse_graphml(&text)?,
+            SourceKind::Rib => parse_rib(&text)?,
+        };
+        normalize(&raw)
     }
 }
 
@@ -156,9 +146,11 @@ pub struct Ingested {
 /// materialize the result — every failure on the way an [`IngestError`].
 pub fn ingest_spec(spec: &str, ixp: Option<&Path>) -> Result<Ingested, IngestError> {
     let spec = SourceSpec::parse(spec)?;
-    let source = spec.open();
-    let provenance = source.provenance();
-    let mut topology = source.load()?;
+    let provenance = Provenance {
+        kind: spec.kind.as_str(),
+        origin: spec.path.display().to_string(),
+    };
+    let mut topology = spec.load()?;
     let ixp = match ixp {
         Some(path) => Some(IxpOverlay::from_path(path)?.apply(&mut topology)),
         None => None,

@@ -26,39 +26,9 @@
 //! customers but no transit).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
 
 use crate::error::IngestError;
 use crate::raw::{RawRel, RawTopology};
-use crate::{Provenance, TopologySource};
-
-/// A RIB/AS-path text dump on disk.
-#[derive(Clone, Debug)]
-pub struct RibSource {
-    path: PathBuf,
-}
-
-impl RibSource {
-    /// A source reading from `path` at load time.
-    pub fn new(path: impl Into<PathBuf>) -> RibSource {
-        RibSource { path: path.into() }
-    }
-}
-
-impl TopologySource for RibSource {
-    fn provenance(&self) -> Provenance {
-        Provenance {
-            kind: "rib",
-            origin: self.path.display().to_string(),
-        }
-    }
-
-    fn load_raw(&self) -> Result<RawTopology, IngestError> {
-        let text =
-            std::fs::read_to_string(&self.path).map_err(|e| IngestError::io(&self.path, e))?;
-        parse_rib(&text)
-    }
-}
 
 /// Extracts the AS path from one record line, if any.
 fn extract_path(line: &str) -> Option<Vec<u64>> {

@@ -173,6 +173,7 @@ impl RevocationTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use scion_crypto::trc::TrustStore;
     use scion_proto::pcb::Pcb;
     use scion_proto::segment::SegmentType;
@@ -317,6 +318,181 @@ mod tests {
         assert_eq!(table.restore_due(&mut ps, t_restore), 0);
         assert!(ps.lookup_down(ia(3), t_restore).unwrap().is_empty());
         assert_eq!(table.revoked_links(), 0, "lapsed entry is still cleared");
+    }
+
+    /// Down-segment `path` (0..8) of three hops, `1 → 2 → leaf`, over
+    /// [`pool_links`]: bit 0 picks the first link, bit 1 the second
+    /// link's interfaces and bit 2 the leaf (3 or 4), so paths share
+    /// links. Registered at zero, it expires after `lifetime_s` seconds.
+    fn two_link_seg(tr: &TrustStore, path: usize, lifetime_s: u64) -> PathSegment {
+        let e1 = 1 + (path & 1) as u16;
+        let e2 = 3 + (path >> 1 & 1) as u16;
+        let leaf = 3 + (path >> 2 & 1) as u64;
+        let lifetime = Duration::from_secs(lifetime_s);
+        let pcb = Pcb::originate(ia(1), IfId(e1), SimTime::ZERO, lifetime, 0, tr)
+            .extend(ia(2), IfId(10 + e1), IfId(e2), vec![], tr)
+            .extend(ia(leaf), IfId(10 + e2), IfId::NONE, vec![], tr);
+        PathSegment::from_terminated_pcb(SegmentType::Down, pcb)
+    }
+
+    /// The six links [`two_link_seg`]'s paths cross: `1#e – 2#(10+e)`
+    /// for `e` in 1..=2, then `2#e – leaf#(10+e)` for leaf 3 and 4.
+    fn pool_links() -> [LinkId; 6] {
+        let link = |a: u64, a_if: u16, b: u64, b_if: u16| {
+            LinkId::new(
+                LinkEnd::new(ia(a), IfId(a_if)),
+                LinkEnd::new(ia(b), IfId(b_if)),
+            )
+        };
+        [
+            link(1, 1, 2, 11),
+            link(1, 2, 2, 12),
+            link(2, 3, 3, 13),
+            link(2, 4, 3, 14),
+            link(2, 3, 4, 13),
+            link(2, 4, 4, 14),
+        ]
+    }
+
+    fn hops(seg: &PathSegment) -> Vec<(IsdAsn, IfId, IfId)> {
+        seg.forward_hops().collect()
+    }
+
+    proptest! {
+        // The revocation laws over random registrations and random
+        // revocations (renewals included), restores and lookups at
+        // non-decreasing times, against a model of each link's TTL and
+        // of the segments its revocations pulled: while a link's
+        // revocation is in force, nothing it pulled is served; a restore
+        // serves every lapsed, unexpired segment again exactly once and
+        // counts exactly those; an unexpired segment is either served or
+        // parked, never both and never twice; and `next_expiry` and
+        // `is_revoked` follow the model. (A segment that crosses a second
+        // link revoked after it was pulled is served again when the first
+        // revocation lapses; see
+        // `a_segment_stays_unserved_while_any_link_it_crosses_is_revoked`.)
+        fn prop_a_revoked_segment_stays_revoked_until_its_ttl_restore(
+            segs in proptest::collection::vec((0usize..8, 1u64..40), 1..8),
+            steps in proptest::collection::vec((0u8..3, 0usize..6, 0u64..4, 1u64..8), 0..48),
+        ) {
+            let tr = trust();
+            let mut ps = PathServer::new(ia(1), true);
+            let mut registered: Vec<PathSegment> = Vec::new();
+            for (path, lifetime_s) in segs {
+                let seg = two_link_seg(&tr, path, lifetime_s);
+                if registered.iter().all(|r| hops(r) != hops(&seg)) {
+                    ps.register_down_segment(seg.clone(), SimTime::ZERO).unwrap();
+                    registered.push(seg);
+                }
+            }
+            let links = pool_links();
+            let mut table = RevocationTable::new();
+            // Per revoked link: its expiry and the segments it pulled.
+            let mut model: BTreeMap<LinkId, (SimTime, Vec<PathSegment>)> = BTreeMap::new();
+            let mut now = SimTime::ZERO;
+            for (op, li, dt, ttl) in steps {
+                now = now + Duration::from_secs(dt);
+                let link = links[li];
+                let mut lapsed: Vec<PathSegment> = Vec::new();
+                match op {
+                    0 => {
+                        let expires = now + Duration::from_secs(ttl);
+                        let pulled = table.revoke(&mut ps, link, now, Duration::from_secs(ttl));
+                        let entry = model.entry(link).or_default();
+                        entry.0 = expires;
+                        entry.1.extend(pulled.iter().cloned());
+                    }
+                    1 => {
+                        let (due, kept) = std::mem::take(&mut model)
+                            .into_iter()
+                            .partition(|(_, (expires, _))| *expires <= now);
+                        model = kept;
+                        let due: BTreeMap<_, _> = due;
+                        lapsed = due
+                            .into_values()
+                            .flat_map(|(_, pulled)| pulled)
+                            .filter(|seg| !seg.is_expired(now))
+                            .collect();
+                        prop_assert_eq!(table.restore_due(&mut ps, now), lapsed.len());
+                    }
+                    _ => {
+                        // A lookup: nothing but the checks below.
+                    }
+                }
+                let served: Vec<PathSegment> = [3, 4]
+                    .iter()
+                    .flat_map(|&leaf| ps.lookup_down(ia(leaf), now).unwrap())
+                    .collect();
+                for &l in &links {
+                    let in_force = model.get(&l).filter(|(expires, _)| now < *expires);
+                    prop_assert_eq!(table.is_revoked(l, now), in_force.is_some());
+                    for pulled in in_force.iter().flat_map(|(_, pulled)| pulled) {
+                        prop_assert!(
+                            served.iter().all(|s| hops(s) != hops(pulled)),
+                            "{:?} is served while {:?}, which pulled it, is revoked",
+                            hops(pulled),
+                            l
+                        );
+                    }
+                }
+                for seg in &lapsed {
+                    let copies = served.iter().filter(|s| hops(s) == hops(seg)).count();
+                    prop_assert_eq!(copies, 1, "{:?} restored {} times", hops(seg), copies);
+                }
+                for seg in &registered {
+                    let key = hops(seg);
+                    let stored = ps.clone().deregister_where(|s| hops(s) == key);
+                    let parked = table
+                        .parked
+                        .values()
+                        .flat_map(|(_, parked)| parked)
+                        .filter(|s| hops(s) == key)
+                        .count();
+                    if seg.is_expired(now) {
+                        prop_assert!(stored + parked <= 1, "{:?} kept twice after expiry", key);
+                    } else {
+                        prop_assert_eq!(stored + parked, 1, "{:?} is not in exactly one place", key);
+                        let is_served = served.iter().any(|s| hops(s) == key);
+                        prop_assert_eq!(is_served, stored == 1);
+                    }
+                }
+                let earliest = model.values().map(|&(expires, _)| expires).min();
+                prop_assert_eq!(table.next_expiry(), earliest);
+            }
+        }
+    }
+
+    /// The stronger law — no segment crossing a link under revocation is
+    /// served — fails when a segment crosses two revoked links: the
+    /// first revocation to lapse reinstates it while the second is still
+    /// in force. The recovery row meets this case at its default seed.
+    #[test]
+    #[ignore = "known defect: restore_due reinstates a segment across a link still revoked"]
+    fn a_segment_stays_unserved_while_any_link_it_crosses_is_revoked() {
+        let tr = trust();
+        let mut ps = PathServer::new(ia(1), true);
+        let seg = two_link_seg(&tr, 0, 3_600);
+        ps.register_down_segment(seg.clone(), SimTime::ZERO)
+            .unwrap();
+        let [first, second] = [0, 2].map(|i| pool_links()[i]);
+        assert!(segment_uses_link(&seg, first) && segment_uses_link(&seg, second));
+        let mut table = RevocationTable::new();
+        let t = |s: u64| SimTime::ZERO + Duration::from_secs(s);
+        assert_eq!(
+            table
+                .revoke(&mut ps, second, t(0), Duration::from_secs(3))
+                .len(),
+            1
+        );
+        assert!(table
+            .revoke(&mut ps, first, t(1), Duration::from_secs(7))
+            .is_empty());
+        table.restore_due(&mut ps, t(3));
+        assert!(table.is_revoked(first, t(3)));
+        assert!(
+            ps.lookup_down(ia(3), t(3)).unwrap().is_empty(),
+            "served across a revoked link"
+        );
     }
 
     #[test]

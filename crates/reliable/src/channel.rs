@@ -268,6 +268,12 @@ impl<M: Clone> ReliableSender<M> {
         true
     }
 
+    /// The deadline armed for pending message `id`, for a driver that
+    /// wakes once per deadline. `None` once it is acked or given up.
+    pub fn deadline(&self, id: MsgId) -> Option<SimTime> {
+        self.pending.get(&id.0).map(|p| p.deadline)
+    }
+
     /// The earliest armed deadline, for scheduling the driver's wake-up
     /// timer. `None` when nothing is pending.
     pub fn next_deadline(&self) -> Option<SimTime> {
@@ -318,6 +324,22 @@ mod tests {
         assert!(s.due_actions(t(10_000)).is_empty());
         assert_eq!(s.stats().acked, 1);
         assert_eq!(s.stats().retransmits, 0);
+    }
+
+    #[test]
+    fn deadline_is_the_one_armed_for_that_message() {
+        let mut s: ReliableSender<u8> = ReliableSender::new(cfg_no_jitter());
+        let a = s.register(t(0), 1);
+        let b = s.register(t(50), 2);
+        assert_eq!((s.deadline(a), s.deadline(b)), (Some(t(100)), Some(t(150))));
+        assert_eq!(s.due_actions(t(100)).len(), 1);
+        assert_eq!(s.deadline(a), Some(t(300)), "re-armed by the retransmit");
+        assert!(s.on_ack(b));
+        assert_eq!(s.deadline(b), None);
+        s.due_actions(t(300));
+        assert_eq!(s.deadline(a), Some(t(700)));
+        s.due_actions(t(700));
+        assert_eq!(s.deadline(a), None, "given up");
     }
 
     #[test]

@@ -81,10 +81,6 @@ metric_ids! {
     BEACONS_SENT_BYTES = "beaconing.sent_bytes",
     /// Counter (per AS): beacons sent (origination + propagation).
     BEACONS_SENT = "beaconing.sent_messages",
-    /// Counter: BGP announcements received, summed over ASes.
-    BGP_ANNOUNCES = "bgp.announces_received",
-    /// Counter: BGP withdrawals received, summed over ASes.
-    BGP_WITHDRAWS = "bgp.withdraws_received",
     /// Counter: sends/deliveries dropped because the link was already down.
     CHAOS_DELIVERIES_DROPPED = "chaos.deliveries_dropped",
     /// Counter: fault events applied to the link-state overlay

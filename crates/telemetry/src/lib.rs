@@ -17,8 +17,8 @@
 //!   records with virtual timestamps, plus a no-op mode costing the hot
 //!   path one branch;
 //! * [`profile`] — wall-clock spans aggregated into a per-phase profile
-//!   (the only intentionally nondeterministic part): RAII scopes, and
-//!   sampled *hot spans* for operations too short to time on every call;
+//!   (the only intentionally nondeterministic part): spans timed on every
+//!   call, and sampled *hot spans* for operations too short for that;
 //! * [`export`] — the JSONL dump format written by `--telemetry <dir>`,
 //!   plus a Prometheus text-exposition rendering (`metrics.prom`);
 //! * [`telediff`] — a structural regression gate: diffs two telemetry
@@ -74,8 +74,8 @@ impl Default for TelemetryConfig {
 /// The bundled telemetry handle threaded through the simulation stack.
 ///
 /// Fields are public on purpose: instrument sites borrow them disjointly
-/// (e.g. an RAII profile scope on [`Telemetry::profile`] while emitting a
-/// trace through [`Telemetry::traces`]).
+/// (e.g. the profiler on [`Telemetry::profile`] while emitting a trace
+/// through [`Telemetry::traces`]).
 #[derive(Debug)]
 pub struct Telemetry {
     enabled: bool,

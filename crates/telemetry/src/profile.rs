@@ -1,4 +1,4 @@
-//! Wall-clock profiling scopes.
+//! Wall-clock profiling spans.
 //!
 //! Unlike everything else in this crate, the profiler measures *real* time
 //! (`std::time::Instant`): its purpose is finding the hot phases of the
@@ -33,10 +33,6 @@ pub mod phase {
     pub const SELECTION: &str = "beaconing.selection_scoring";
     /// Signature-chain verification of received PCBs.
     pub const VERIFICATION: &str = "beaconing.verification";
-    /// Up + core + down segment combination into end-to-end paths.
-    pub const COMBINATION: &str = "proto.path_combination";
-    /// One per-origin BGP convergence run.
-    pub const BGP_CONVERGENCE: &str = "bgp.origin_convergence";
     /// The full monthly BGP churn workload.
     pub const BGP_MONTH: &str = "bgp.monthly_workload";
     /// The telemetry sampler reading the live gauges.
@@ -155,9 +151,9 @@ pub struct Profiler {
     phases: Vec<(&'static str, Phase)>,
 }
 
-/// An open hot span; hand it back to [`Profiler::finish`] on the profiler
-/// that opened it.
-#[must_use = "a hot span records its time only when passed to Profiler::finish"]
+/// An open span ([`Profiler::span`] or [`Profiler::hot_span`]); hand it
+/// back to [`Profiler::finish`] on the profiler that opened it.
+#[must_use = "a span records its time only when passed to Profiler::finish"]
 #[derive(Debug)]
 pub struct HotSpan {
     /// The phase's slot in the profiler that opened the span.
@@ -167,7 +163,7 @@ pub struct HotSpan {
 }
 
 impl Profiler {
-    /// A profiler that records nothing; `scope` costs one branch.
+    /// A profiler that records nothing; a span costs one branch.
     pub fn disabled() -> Profiler {
         Profiler::default()
     }
@@ -210,19 +206,31 @@ impl Profiler {
         self.phases.iter().position(|(n, _)| *n == name)
     }
 
-    /// Opens an RAII span: the elapsed wall-clock time is recorded under
-    /// `phase` when the returned guard drops.
+    /// Opens a span timed on every call; close it with
+    /// [`Profiler::finish`]. Not an RAII guard, so the caller stays free to
+    /// use the rest of the telemetry handle while the span is open. A
+    /// disabled profiler counts nothing and never reads the clock.
     #[inline]
-    pub fn scope(&mut self, phase: &'static str) -> ProfileScope<'_> {
-        let start = if self.enabled {
-            Some(Instant::now())
+    pub fn span(&mut self, phase: &'static str) -> HotSpan {
+        if self.enabled {
+            self.open_timed(phase)
         } else {
-            None
-        };
-        ProfileScope {
-            profiler: self,
-            phase,
-            start,
+            HotSpan {
+                slot: 0,
+                start: None,
+            }
+        }
+    }
+
+    /// [`Profiler::span`] on a recording profiler, kept out of line so a
+    /// caller running on a disabled handle carries only the branch.
+    #[inline(never)]
+    fn open_timed(&mut self, phase: &'static str) -> HotSpan {
+        let slot = self.slot(phase);
+        self.phases[slot].1.stats.calls += 1;
+        HotSpan {
+            slot,
+            start: Some(Instant::now()),
         }
     }
 
@@ -247,7 +255,7 @@ impl Profiler {
         HotSpan { slot, start }
     }
 
-    /// Closes a hot span, recording its duration if this call was timed.
+    /// Closes a span, recording its duration if this call was timed.
     #[inline]
     pub fn finish(&mut self, span: HotSpan) {
         if let Some(start) = span.start {
@@ -292,34 +300,21 @@ impl Profiler {
     }
 }
 
-/// RAII guard of one wall-clock span; records on drop.
-pub struct ProfileScope<'a> {
-    profiler: &'a mut Profiler,
-    phase: &'static str,
-    start: Option<Instant>,
-}
-
-impl Drop for ProfileScope<'_> {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            self.profiler.record_ns(self.phase, elapsed_ns(start));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn scopes_accumulate_calls_and_time() {
+    fn spans_time_every_call() {
         let mut p = Profiler::enabled();
         for _ in 0..3 {
-            let _g = p.scope(phase::VERIFICATION);
+            let span = p.span(phase::VERIFICATION);
             std::hint::black_box(42);
+            p.finish(span);
         }
         let s = p.stats(phase::VERIFICATION).unwrap();
-        assert_eq!(s.calls, 3);
+        assert_eq!((s.calls, s.timed), (3, 3));
+        assert_eq!(p.latency(phase::VERIFICATION).unwrap().count(), 3);
         assert!(s.max_ns <= s.total_ns);
         assert!(s.mean_ns() <= s.max_ns);
     }
@@ -327,9 +322,8 @@ mod tests {
     #[test]
     fn disabled_profiler_records_nothing() {
         let mut p = Profiler::disabled();
-        {
-            let _g = p.scope(phase::ORIGINATION);
-        }
+        let span = p.span(phase::ORIGINATION);
+        p.finish(span);
         p.record_ns(phase::RECOVERY_TICK, 1_000);
         assert!(p.is_empty());
         assert!(p.stats(phase::ORIGINATION).is_none());
@@ -399,7 +393,7 @@ mod tests {
             assert!(span.start.is_none());
             p.finish(span);
         }
-        assert!(p.scope(phase::ORIGINATION).start.is_none());
+        assert!(p.span(phase::ORIGINATION).start.is_none());
         assert!(p.is_empty());
     }
 
@@ -420,12 +414,13 @@ mod tests {
             let span = p.hot_span(name);
             p.finish(span);
             p.record_ns(name, 7);
-            drop(p.scope(name));
+            let span = p.span(name);
+            p.finish(span);
         }
         assert_eq!(p.phases().count(), 1);
         for name in [phase::FWD_VERIFY, copy] {
             let s = p.stats(name).unwrap();
-            // Three hot spans (the first timed), three records, three scopes.
+            // Three hot spans (the first timed), three records, three spans.
             assert_eq!((s.calls, s.timed), (9, 7));
             assert_eq!(p.latency(name).unwrap().count(), 7);
         }
@@ -443,7 +438,7 @@ mod tests {
         // span; on a fresh handle that is the first use of both.
         let mut p = Profiler::enabled();
         let hop = p.hot_span(phase::FWD_FORWARD);
-        for name in [phase::FWD_VERIFY, phase::RECOVERY_TICK, phase::COMBINATION] {
+        for name in [phase::FWD_VERIFY, phase::RECOVERY_TICK, phase::SELECTION] {
             let inner = p.hot_span(name);
             p.finish(inner);
         }
@@ -464,7 +459,8 @@ mod tests {
         p.record_ns("a", 1);
         let span = p.hot_span(phase::FWD_FORWARD);
         p.finish(span);
-        drop(p.scope("m"));
+        let span = p.span("m");
+        p.finish(span);
         let names: Vec<_> = p.phases().map(|(n, _)| n).collect();
         assert_eq!(
             names,
