@@ -453,7 +453,6 @@ pub fn recovery(result: &RecoveryResult) {
         "failovers",
         "requeries",
         "revoked",
-        "restored",
         "outage p50 ms",
         "outage max ms",
         "victim ms",
@@ -469,7 +468,6 @@ pub fn recovery(result: &RecoveryResult) {
             arm.failovers.to_string(),
             arm.requeries.to_string(),
             arm.segments_revoked.to_string(),
-            arm.segments_restored.to_string(),
             format!("{:.1}", arm.outage_us.p50 as f64 / 1e3),
             format!("{:.1}", arm.outage_us.max as f64 / 1e3),
             arm.victim_max_outage_us

@@ -15,8 +15,8 @@
 //!   ([`ChurnModel`]) distinguishing core from leaf links;
 //! * [`schedule`] — the [`Script`] builder for explicit fault scripts
 //!   (outage windows, AS blackouts, latency brown-outs, flap bursts);
-//! * [`revoke`] — the path-server reaction ([`revoke_for_fault`]): §4.1
-//!   revocation of affected segments, ledger-accounted and traced;
+//! * [`revoke`] — the path-server reaction ([`revoke_for_fault`],
+//!   [`revoke_for_scmp`]): §4.1 revocation of affected segments, traced;
 //! * [`analysis`] — reconvergence times and liveness summaries over the
 //!   probe curves the chaos-aware drivers emit;
 //! * [`testkit`] — shared fixtures (dual-homed worlds, segment plumbing)
@@ -28,6 +28,8 @@
 //! [`FaultSchedule`], which is what makes the resilience experiment an
 //! apples-to-apples comparison.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod analysis;
 pub mod churn;
 pub mod revoke;
@@ -36,7 +38,7 @@ pub mod testkit;
 
 pub use analysis::{mean_fraction, mean_reconvergence, min_fraction, reconvergence_times};
 pub use churn::{ChurnModel, LinkClassParams};
-pub use revoke::{restore_lapsed_revocations, revoke_for_fault, revoke_for_scmp};
+pub use revoke::{revoke_for_fault, revoke_for_scmp};
 pub use schedule::Script;
 
 // Re-export the fault plane and both drivers' chaos types, so experiment

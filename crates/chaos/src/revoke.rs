@@ -4,13 +4,14 @@
 //!
 //! The simulator's fault plane names links by dense [`LinkIndex`]; the
 //! path-server layer names them by wire-level [`LinkId`](scion_types::LinkId). This module
-//! maps a fault or an SCMP message to links, leaves the pulling and the
-//! message accounting to [`scion_pathserver::revocation`], and emits
+//! maps a fault or an SCMP message to links, leaves the pulling (or, with
+//! a TTL, the withholding) to the [`PathServer`] and the message
+//! accounting to [`scion_pathserver::revocation`], and emits
 //! [`TraceEvent::PathInvalidated`] per invalidated destination.
 
 use scion_dataplane::scmp::ScmpMessage;
 use scion_pathserver::ledger::Ledger;
-use scion_pathserver::revocation::{Revocation, RevocationTable};
+use scion_pathserver::revocation::Revocation;
 use scion_pathserver::server::PathServer;
 use scion_proto::segment::PathSegment;
 use scion_simulator::LinkFault;
@@ -52,12 +53,12 @@ pub fn revoke_for_fault(
 
 /// The §4.1 closed loop, driven from the data plane: a border router's
 /// SCMP `ExternalInterfaceDown` reaches the responsible core path server,
-/// which revokes every stored segment crossing the reported link — with a
-/// TTL via `table`, so a spurious revocation heals itself and a genuinely
-/// dead link is kept revoked by subsequent SCMP-triggered renewals.
-/// Returns how many segments were newly pulled.
+/// which revokes the reported link for `ttl` ([`PathServer::revoke_link`]),
+/// so a spurious revocation heals itself and a genuinely dead link is
+/// kept revoked by subsequent SCMP-triggered renewals. Returns how many
+/// segments were newly withheld.
 ///
-/// Counts every revocation into `pathserver.revocations` and its pulled
+/// Counts every revocation into `pathserver.revocations` and its withheld
 /// segments into `pathserver.segments_revoked`, and emits the same
 /// invalidations as [`revoke_for_fault`]. Messages are not accounted
 /// here: the SCMPs to the endpoints are the data plane's own. A message
@@ -65,7 +66,6 @@ pub fn revoke_for_fault(
 /// (`pathserver.rejected_ops`), never a panic.
 pub fn revoke_for_scmp(
     ps: &mut PathServer,
-    table: &mut RevocationTable,
     topo: &AsTopology,
     msg: &ScmpMessage,
     ttl: Duration,
@@ -83,32 +83,20 @@ pub fn revoke_for_scmp(
         tel.inc(ids::PS_REJECTED_OPS, Label::Global, 1);
         return 0;
     };
-    let pulled = table.revoke(ps, topo.link_id(li), now, ttl);
+    let withheld = ps.revoke_link(topo.link_id(li), now + ttl, now);
     tel.inc(ids::PS_REVOCATIONS, Label::Global, 1);
-    if !pulled.is_empty() {
-        tel.inc(ids::PS_SEGMENTS_REVOKED, Label::Global, pulled.len() as u64);
+    if !withheld.is_empty() {
+        tel.inc(
+            ids::PS_SEGMENTS_REVOKED,
+            Label::Global,
+            withheld.len() as u64,
+        );
     }
-    paths_invalidated(ps.isd_asn(), topo, li, pulled, now, tel);
-    pulled.len()
+    paths_invalidated(ps.isd_asn(), topo, li, &withheld, now, tel);
+    withheld.len()
 }
 
-/// Reinstates every revocation in `table` that has lapsed by `now`,
-/// counting restored segments into `pathserver.segments_restored`.
-/// Returns how many segments went back into the lookup stores.
-pub fn restore_lapsed_revocations(
-    ps: &mut PathServer,
-    table: &mut RevocationTable,
-    now: SimTime,
-    tel: &mut Telemetry,
-) -> usize {
-    let restored = table.restore_due(ps, now);
-    if restored > 0 {
-        tel.inc(ids::PS_SEGMENTS_RESTORED, Label::Global, restored as u64);
-    }
-    restored
-}
-
-/// Counts the segments `server` pulled for failed link `li` into
+/// Counts the segments `server` pulled or withheld for failed link `li` into
 /// `chaos.paths_invalidated` and traces one
 /// [`TraceEvent::PathInvalidated`] per segment, naming its destination.
 fn paths_invalidated(
@@ -229,8 +217,8 @@ mod tests {
 
     #[test]
     fn scmp_drives_ttl_revocation_and_restoration() {
-        // The closed loop: dataplane SCMP → PS revocation (parked with a
-        // TTL) → restoration once the revocation lapses unrenewed.
+        // The closed loop: dataplane SCMP → PS revocation with a TTL →
+        // the segments are served again once it lapses unrenewed.
         let topo = dual_homed_world();
         let duration = Duration::from_hours(6);
         let leaf_ia = IsdAsn::new(Isd(1), Asn::from_u64(10));
@@ -250,35 +238,35 @@ mod tests {
         };
 
         let ttl = Duration::from_secs(5);
-        let mut table = RevocationTable::new();
         let mut tel = Telemetry::new(scion_telemetry::TelemetryConfig::default());
         let t0 = SimTime::ZERO + Duration::from_secs(1);
-        let r = revoke_for_scmp(&mut ps, &mut table, &topo, &msg, ttl, t0, &mut tel);
+        let r = revoke_for_scmp(&mut ps, &topo, &msg, ttl, t0, &mut tel);
         assert!(r >= 1);
-        assert!(ps.lookup_down(leaf_ia, t0).unwrap().len() < registered);
+        assert_eq!(ps.lookup_down(leaf_ia, t0).unwrap().len(), registered - r);
         assert_eq!(tel.metrics.counter(ids::PS_REVOCATIONS, Label::Global), 1);
         assert_eq!(
             tel.metrics.counter(ids::PS_SEGMENTS_REVOKED, Label::Global),
             r as u64
         );
+        assert_eq!(tel.traces.len(), r);
 
         // Before the TTL lapses nothing comes back …
+        let t_before = t0 + Duration::from_secs(4);
         assert_eq!(
-            restore_lapsed_revocations(&mut ps, &mut table, t0 + Duration::from_secs(4), &mut tel),
-            0
+            ps.lookup_down(leaf_ia, t_before).unwrap().len(),
+            registered - r
         );
-        // … after it, the parked segments are reinstated and counted.
-        let t_restore = t0 + ttl;
-        let restored = restore_lapsed_revocations(&mut ps, &mut table, t_restore, &mut tel);
-        assert_eq!(restored, r);
+        // … after it, every segment is served again, and a fresh SCMP
+        // withholds (and counts) the same ones afresh.
+        let t_lapse = t0 + ttl;
+        assert_eq!(ps.lookup_down(leaf_ia, t_lapse).unwrap().len(), registered);
         assert_eq!(
-            ps.lookup_down(leaf_ia, t_restore).unwrap().len(),
-            registered
+            revoke_for_scmp(&mut ps, &topo, &msg, ttl, t_lapse, &mut tel),
+            r
         );
         assert_eq!(
-            tel.metrics
-                .counter(ids::PS_SEGMENTS_RESTORED, Label::Global),
-            restored as u64
+            tel.metrics.counter(ids::PS_SEGMENTS_REVOKED, Label::Global),
+            2 * r as u64
         );
     }
 
@@ -286,7 +274,6 @@ mod tests {
     fn scmp_for_unknown_interface_is_rejected_not_fatal() {
         let topo = dual_homed_world();
         let mut ps = PathServer::new(IsdAsn::new(Isd(1), Asn::from_u64(1)), true);
-        let mut table = RevocationTable::new();
         let mut tel = Telemetry::new(scion_telemetry::TelemetryConfig::default());
 
         // Known AS, bogus interface.
@@ -296,15 +283,7 @@ mod tests {
             observed_at: SimTime::ZERO,
         };
         let ttl = Duration::from_secs(5);
-        let r = revoke_for_scmp(
-            &mut ps,
-            &mut table,
-            &topo,
-            &msg,
-            ttl,
-            SimTime::ZERO,
-            &mut tel,
-        );
+        let r = revoke_for_scmp(&mut ps, &topo, &msg, ttl, SimTime::ZERO, &mut tel);
         assert_eq!(r, 0);
         // Unknown AS entirely.
         let msg = ScmpMessage::ExternalInterfaceDown {
@@ -312,15 +291,7 @@ mod tests {
             interface: scion_types::IfId(1),
             observed_at: SimTime::ZERO,
         };
-        let r = revoke_for_scmp(
-            &mut ps,
-            &mut table,
-            &topo,
-            &msg,
-            ttl,
-            SimTime::ZERO,
-            &mut tel,
-        );
+        let r = revoke_for_scmp(&mut ps, &topo, &msg, ttl, SimTime::ZERO, &mut tel);
         assert_eq!(r, 0);
         assert_eq!(tel.metrics.counter(ids::PS_REJECTED_OPS, Label::Global), 2);
         // InvalidPath never revokes.
@@ -328,15 +299,7 @@ mod tests {
             at: IsdAsn::new(Isd(1), Asn::from_u64(1)),
             observed_at: SimTime::ZERO,
         };
-        let r = revoke_for_scmp(
-            &mut ps,
-            &mut table,
-            &topo,
-            &msg,
-            ttl,
-            SimTime::ZERO,
-            &mut tel,
-        );
+        let r = revoke_for_scmp(&mut ps, &topo, &msg, ttl, SimTime::ZERO, &mut tel);
         assert_eq!(r, 0);
     }
 

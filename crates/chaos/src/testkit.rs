@@ -32,6 +32,10 @@ pub fn dual_homed_world() -> AsTopology {
 /// stored at `leaf_ia` into down-segments (as the leaf would register them
 /// with its core path server). Returns the segments plus the trust store
 /// that signed them.
+///
+/// # Panics
+/// Panics if `leaf_ia` is not an AS of `topo`.
+#[allow(clippy::expect_used)]
 pub fn segments_for(
     topo: &AsTopology,
     leaf_ia: IsdAsn,
@@ -51,20 +55,26 @@ pub fn segments_for(
         &mut Telemetry::disabled(),
     )
     .outcome;
-    let leaf = topo.by_address(leaf_ia).unwrap();
+    let leaf = topo.by_address(leaf_ia).expect("the leaf is in the world");
     let core_ia = IsdAsn::new(Isd(1), Asn::from_u64(1));
     let segs = out
         .server(leaf)
-        .unwrap()
+        .expect("every AS of the world runs a beacon server")
         .terminate(core_ia, SegmentType::Down, &trust, now);
     (segs, trust)
 }
 
 /// Registers every down-segment at `ps` (a core path server), as of the
 /// epoch — testkit segments are freshly minted, so nothing is GC-eligible.
+///
+/// # Panics
+/// Panics if `ps` is not a core path server or a segment is not a
+/// down-segment.
+#[allow(clippy::expect_used)]
 pub fn register_down_segments(ps: &mut PathServer, segs: &[PathSegment]) {
     for s in segs {
-        ps.register_down_segment(s.clone(), SimTime::ZERO).unwrap();
+        ps.register_down_segment(s.clone(), SimTime::ZERO)
+            .expect("a core server takes down-segments");
     }
 }
 

@@ -14,10 +14,10 @@
 //!   `ExternalInterfaceDown`, which travels *back along the traversed
 //!   prefix* (with real link latency) to the source endhost, and — gated by
 //!   a per-link [`ScmpLimiter`] — onward to the core path server;
-//! * **revocation** — the path server parks every segment crossing the
-//!   failed link in a TTL'd [`RevocationTable`]
-//!   ([`revoke_for_scmp`]); lapsed revocations are restored by an
-//!   expiry-driven timer ([`restore_lapsed_revocations`]);
+//! * **revocation** — the path server revokes the failed link with a TTL
+//!   ([`revoke_for_scmp`]): its lookups withhold every segment crossing a
+//!   link under revocation, and serve it again once no link it crosses is
+//!   revoked, with no timer and no segment moved;
 //! * **re-resolution** — when every cached path is dead, the daemon's arm
 //!   (c) falls back to a bounded-retry query against the path server,
 //!   retried on the [`ReliableConfig::LOOKUP`] ladder.
@@ -46,13 +46,11 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use serde::Serialize;
 
 use scion_analysis::Cdf;
-use scion_chaos::{
-    restore_lapsed_revocations, revoke_for_scmp, FaultSchedule, LinkFault, LinkState,
-};
+use scion_chaos::{revoke_for_scmp, FaultSchedule, LinkFault, LinkState};
 use scion_crypto::trc::TrustStore;
 use scion_dataplane::{walk, DeliveryError, Packet, ScmpLimiter, ScmpMessage};
 use scion_endhost::ScionDaemon;
-use scion_pathserver::{PathServer, RevocationTable};
+use scion_pathserver::PathServer;
 use scion_proto::combine::EndToEndPath;
 use scion_proto::pcb::Pcb;
 use scion_proto::segment::{PathSegment, SegmentType};
@@ -84,8 +82,8 @@ const RECONVERGE_INTERVAL: Duration = Duration::from_secs(3);
 /// Endhost daemon failure-mark TTL: dead-path marks lapse after this,
 /// turning the primary into a periodic probe.
 const FAILURE_TTL: Duration = Duration::from_secs(2);
-/// Path-server revocation TTL (renewed by repeat SCMPs; a parked segment
-/// whose revocation lapses is reinstated).
+/// Path-server revocation TTL (renewed by repeat SCMPs; a segment is served
+/// again once no link it crosses is under a revocation in force).
 const REVOCATION_TTL: Duration = Duration::from_secs(4);
 /// Per-(AS, interface) SCMP→path-server admission window.
 const SCMP_HOLDOFF: Duration = Duration::from_millis(500);
@@ -110,9 +108,8 @@ const SEG_LIFETIME: Duration = Duration::from_hours(1);
 const KIND_TICK: u32 = 0;
 const KIND_FAULT: u32 = 1;
 const KIND_RECONVERGE: u32 = 2;
-const KIND_RESTORE: u32 = 3;
 /// A deadline of the lookup retry wheel is due.
-const KIND_LOOKUP: u32 = 4;
+const KIND_LOOKUP: u32 = 3;
 
 /// Events on the wire (and local arrivals) between the planes.
 enum Msg {
@@ -256,10 +253,8 @@ pub struct RecoveryArm {
     pub requeries_exhausted: u64,
     /// Limiter-admitted SCMPs that reached the path server.
     pub revocation_signals: u64,
-    /// Segments parked by those revocations.
+    /// Segments those revocations newly withheld from lookups.
     pub segments_revoked: u64,
-    /// Segments reinstated when their revocation lapsed.
-    pub segments_restored: u64,
     /// Limiter decisions at the emitting border routers.
     pub scmp_admitted: u64,
     pub scmp_suppressed: u64,
@@ -430,11 +425,9 @@ struct Sim<'a> {
     fstates: Vec<FlowState>,
     ps: PathServer,
     ps_node: AsIndex,
-    table: RevocationTable,
     limiter: ScmpLimiter,
     expiry: SimTime,
     end: SimTime,
-    restore_armed: Option<SimTime>,
     /// The arm's record: the counters the handlers keep are written here
     /// as they happen (so a run without telemetry still has them), the
     /// rest by [`Sim::into_arm`].
@@ -477,11 +470,9 @@ impl<'a> Sim<'a> {
             fstates: flows.iter().map(FlowState::new).collect(),
             ps,
             ps_node,
-            table: RevocationTable::new(),
             limiter: ScmpLimiter::new(SCMP_HOLDOFF),
             expiry: SimTime::ZERO + SEG_LIFETIME,
             end: SimTime::ZERO + WINDOW,
-            restore_armed: None,
             out: RecoveryArm {
                 name: arm.name,
                 ..RecoveryArm::default()
@@ -515,16 +506,13 @@ impl<'a> Sim<'a> {
                     ..
                 } => self.on_reconverge(now, &mut engine),
                 Event::Timer {
-                    kind: KIND_RESTORE, ..
-                } => self.on_restore(now, &mut engine, tel),
-                Event::Timer {
                     kind: KIND_LOOKUP, ..
                 } => self.on_lookup_deadline(now, &mut engine, tel),
                 Event::Timer { .. } => unreachable!("unknown timer kind"),
                 Event::Deliver { msg, .. } => match msg {
                     Msg::Arrival { flow, sent_at } => self.on_arrival(flow, sent_at, now),
                     Msg::Scmp { flow, scmp } => self.on_scmp(flow, &scmp, now, &mut engine, tel),
-                    Msg::Revoke { scmp } => self.on_revoke(&scmp, now, &mut engine, tel),
+                    Msg::Revoke { scmp } => self.on_revoke(&scmp, now, tel),
                     Msg::Query { flow, id } => self.on_query(flow, id, now, &mut engine, tel),
                     Msg::Response { flow, id, paths } => {
                         self.on_response(flow, id, paths, now, &mut engine, tel)
@@ -766,53 +754,12 @@ impl<'a> Sim<'a> {
         tel.profile.finish(span);
     }
 
-    fn on_revoke(
-        &mut self,
-        scmp: &ScmpMessage,
-        now: SimTime,
-        engine: &mut Engine<Msg>,
-        tel: &mut Telemetry,
-    ) {
+    fn on_revoke(&mut self, scmp: &ScmpMessage, now: SimTime, tel: &mut Telemetry) {
         let span = tel.profile.span(phase::RECOVERY_SCMP);
         self.out.revocation_signals += 1;
-        let revoked = revoke_for_scmp(
-            &mut self.ps,
-            &mut self.table,
-            self.topo,
-            scmp,
-            REVOCATION_TTL,
-            now,
-            tel,
-        );
+        let revoked = revoke_for_scmp(&mut self.ps, self.topo, scmp, REVOCATION_TTL, now, tel);
         self.out.segments_revoked += revoked as u64;
-        self.arm_restore_timer(now, engine);
         tel.profile.finish(span);
-    }
-
-    /// Keeps one restore timer armed at the revocation table's next
-    /// expiry. Renewals move expiries later; a stale early timer is a
-    /// cheap no-op that re-arms itself.
-    fn arm_restore_timer(&mut self, now: SimTime, engine: &mut Engine<Msg>) {
-        if let Some(expiry) = self.table.next_expiry() {
-            let at = expiry.max(now);
-            let stale = match self.restore_armed {
-                Some(armed) => armed < now || at < armed,
-                None => true,
-            };
-            if stale {
-                engine.schedule_timer(at, AsIndex(0), KIND_RESTORE);
-                self.restore_armed = Some(at);
-            }
-        }
-    }
-
-    fn on_restore(&mut self, now: SimTime, engine: &mut Engine<Msg>, tel: &mut Telemetry) {
-        if self.restore_armed == Some(now) {
-            self.restore_armed = None;
-        }
-        self.out.segments_restored +=
-            restore_lapsed_revocations(&mut self.ps, &mut self.table, now, tel) as u64;
-        self.arm_restore_timer(now, engine);
     }
 
     /// Periodic reconvergence (an arm without failover): every daemon

@@ -20,7 +20,8 @@
 //!   lookups (§4.1 cites the Zipf distribution of Internet traffic);
 //! * [`revocation`] — path revocation on link failure: intra-ISD
 //!   revocation at the core path server plus SCMP notifications to
-//!   affected endpoints (§4.1 "Path Revocations");
+//!   affected endpoints (§4.1 "Path Revocations"), hard or with a TTL the
+//!   server keeps per link;
 //! * [`overload`] — overload protection for the lookup plane:
 //!   per-client token buckets, a bounded priority-aware admission queue
 //!   with deterministic shedding, brownout stale-serving, and a circuit
@@ -41,6 +42,6 @@ pub use overload::{
     ClientAdmission, QueueOutcome, RequestClass, ShedReason, Ticket, TokenBucket,
     MILLITOKENS_PER_REQUEST,
 };
-pub use revocation::{revoke_segments, Revocation, RevocationTable};
+pub use revocation::{revoke_segments, Revocation};
 pub use server::{CacheStats, LookupResult, PathServer, ServerError};
 pub use workload::ZipfDestinations;

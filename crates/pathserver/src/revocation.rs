@@ -5,12 +5,15 @@
 //! Endpoints and border routers that use a path containing a failed link
 //! are informed of the link failure through SCION Control Message Protocol
 //! (SCMP) messages sent by the border router observing the failed link."
-
-use std::collections::BTreeMap;
+//!
+//! [`revoke_segments`] pulls the segments for good. The deployed
+//! revocation has a TTL instead, kept by the server as the link's lapse
+//! time ([`PathServer::revoke_link`]); SCMP renewals keep a dead link
+//! revoked, and the TTL bounds how long a stale one suppresses a path.
 
 use scion_proto::segment::PathSegment;
 use scion_proto::wire;
-use scion_types::{Duration, LinkId, SimTime};
+use scion_types::{LinkId, SimTime};
 
 use crate::ledger::{Component, Ledger, Scope};
 use crate::server::PathServer;
@@ -79,97 +82,6 @@ pub fn revoke_segments(
     Revocation::record(pulled, active_flows_on_link, ledger, now)
 }
 
-/// TTL'd revocation state at a path server (§4.1 deployed behavior):
-/// revocations are *soft* — a revoked segment is pulled from the lookup
-/// stores but parked here, and when the revocation's TTL lapses without
-/// renewal the segment is reinstated. A link that is genuinely still down
-/// gets re-revoked by the next SCMP-triggered signal (the data plane acts
-/// as the prober), so the TTL bounds how long a spurious or stale
-/// revocation can suppress a healthy path.
-#[derive(Clone, Debug, Default)]
-pub struct RevocationTable {
-    /// Per failed link: when the revocation lapses and the segments parked
-    /// under it. `BTreeMap` so restoration order is deterministic.
-    parked: BTreeMap<LinkId, (SimTime, Vec<PathSegment>)>,
-}
-
-impl RevocationTable {
-    /// An empty table.
-    pub fn new() -> RevocationTable {
-        RevocationTable::default()
-    }
-
-    /// Revokes every segment at `ps` traversing `failed`, parking the
-    /// removed segments until `now + ttl`, and returns the newly pulled
-    /// ones. A duplicate revocation of an already-revoked link removes
-    /// nothing new but *renews* the TTL; a link no stored segment uses
-    /// parks nothing (unknown links must not panic).
-    pub fn revoke(
-        &mut self,
-        ps: &mut PathServer,
-        failed: LinkId,
-        now: SimTime,
-        ttl: Duration,
-    ) -> &[PathSegment] {
-        let pulled = ps.deregister_link(failed);
-        let (expires, parked) = self
-            .parked
-            .entry(failed)
-            .or_insert_with(|| (now + ttl, Vec::new()));
-        *expires = now + ttl;
-        let start = parked.len();
-        parked.extend(pulled);
-        &parked[start..]
-    }
-
-    /// True while a revocation for `link` is in force at `now`.
-    pub fn is_revoked(&self, link: LinkId, now: SimTime) -> bool {
-        self.parked
-            .get(&link)
-            .is_some_and(|&(expires, _)| now < expires)
-    }
-
-    /// Reinstates every parked segment whose revocation has lapsed by
-    /// `now`. Segments that expired naturally while parked are discarded
-    /// rather than reinstated. Returns how many segments went back into
-    /// the lookup stores.
-    pub fn restore_due(&mut self, ps: &mut PathServer, now: SimTime) -> usize {
-        let due: Vec<LinkId> = self
-            .parked
-            .iter()
-            .filter(|(_, &(expires, _))| expires <= now)
-            .map(|(&link, _)| link)
-            .collect();
-        let mut restored = 0;
-        for link in due {
-            let Some((_, segments)) = self.parked.remove(&link) else {
-                continue;
-            };
-            for seg in segments {
-                if seg.is_expired(now) {
-                    continue;
-                }
-                if ps.reinstate_segment(seg, now).is_ok() {
-                    restored += 1;
-                }
-            }
-        }
-        restored
-    }
-
-    /// The earliest instant at which [`RevocationTable::restore_due`]
-    /// would do work, if any revocation is outstanding.
-    pub fn next_expiry(&self) -> Option<SimTime> {
-        self.parked.values().map(|&(expires, _)| expires).min()
-    }
-
-    /// Links currently under an unexpired or lapsed-but-unprocessed
-    /// revocation.
-    pub fn revoked_links(&self) -> usize {
-        self.parked.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,6 +90,7 @@ mod tests {
     use scion_proto::pcb::Pcb;
     use scion_proto::segment::SegmentType;
     use scion_types::{Asn, Duration, IfId, Isd, IsdAsn, LinkEnd};
+    use std::collections::BTreeMap;
 
     fn ia(asn: u64) -> IsdAsn {
         IsdAsn::new(Isd(1), Asn::from_u64(asn))
@@ -256,21 +169,23 @@ mod tests {
         let failed = LinkId::new(LinkEnd::new(ia(1), IfId(7)), LinkEnd::new(ia(3), IfId(1)));
         let ttl = Duration::from_secs(5);
 
-        let mut table = RevocationTable::new();
         let t0 = SimTime::ZERO + Duration::from_secs(1);
-        assert_eq!(table.revoke(&mut ps, failed, t0, ttl).len(), 1);
-        // A second revocation for the same (still-down) link finds nothing
-        // new to pull, but pushes the restoration deadline out.
+        assert_eq!(ps.revoke_link(failed, t0 + ttl, t0).len(), 1);
+        // A second revocation for the same (still-down) link withholds
+        // nothing new, but pushes the lapse out.
         let t1 = t0 + Duration::from_secs(3);
-        assert_eq!(table.revoke(&mut ps, failed, t1, ttl).len(), 0);
-        assert_eq!(table.next_expiry(), Some(t1 + ttl));
-        assert!(table.is_revoked(failed, t0 + ttl));
+        assert!(ps.revoke_link(failed, t1 + ttl, t1).is_empty());
+        assert!(
+            ps.lookup_down(ia(3), t0 + ttl).unwrap().is_empty(),
+            "TTL was renewed"
+        );
 
-        // Restoration happens once, with one copy of the segment.
-        assert_eq!(table.restore_due(&mut ps, t0 + ttl), 0, "TTL was renewed");
-        assert_eq!(table.restore_due(&mut ps, t1 + ttl), 1);
+        // The lapse serves the segment again, once.
         assert_eq!(ps.lookup_down(ia(3), t1 + ttl).unwrap().len(), 1);
-        assert_eq!(table.revoked_links(), 0);
+        // A revocation after the lapse withholds it afresh.
+        let t2 = t1 + ttl;
+        assert_eq!(ps.revoke_link(failed, t2 + ttl, t2).len(), 1);
+        assert!(ps.lookup_down(ia(3), t2).unwrap().is_empty());
     }
 
     #[test]
@@ -282,42 +197,33 @@ mod tests {
         // No stored segment traverses this link.
         let unknown = LinkId::new(LinkEnd::new(ia(2), IfId(99)), LinkEnd::new(ia(5), IfId(99)));
 
-        let mut table = RevocationTable::new();
         let t0 = SimTime::ZERO + Duration::from_secs(1);
-        assert_eq!(
-            table
-                .revoke(&mut ps, unknown, t0, Duration::from_secs(5))
-                .len(),
-            0
-        );
-        // The existing segment is untouched and restoration has nothing
-        // to reinstate.
+        let lapse = t0 + Duration::from_secs(5);
+        assert!(ps.revoke_link(unknown, lapse, t0).is_empty());
+        // The existing segment is served throughout.
         assert_eq!(ps.lookup_down(ia(3), t0).unwrap().len(), 1);
-        assert_eq!(table.restore_due(&mut ps, t0 + Duration::from_secs(5)), 0);
+        assert_eq!(ps.lookup_down(ia(3), lapse).unwrap().len(), 1);
     }
 
     #[test]
     fn naturally_expired_segment_is_not_reinstated() {
         let tr = trust();
         let mut ps = PathServer::new(ia(1), true);
-        // Lifetime 6h (see `down_seg`); park it, then let the revocation
+        // Lifetime 6h (see `down_seg`); revoke it, then let the revocation
         // lapse *after* the segment's own expiry.
         ps.register_down_segment(down_seg(&tr, 7, 3), SimTime::ZERO)
             .unwrap();
         let failed = LinkId::new(LinkEnd::new(ia(1), IfId(7)), LinkEnd::new(ia(3), IfId(1)));
 
-        let mut table = RevocationTable::new();
         let t0 = SimTime::ZERO + Duration::from_hours(5);
-        assert_eq!(
-            table
-                .revoke(&mut ps, failed, t0, Duration::from_hours(2))
-                .len(),
-            1
-        );
-        let t_restore = t0 + Duration::from_hours(2); // 7h > 6h lifetime
-        assert_eq!(table.restore_due(&mut ps, t_restore), 0);
-        assert!(ps.lookup_down(ia(3), t_restore).unwrap().is_empty());
-        assert_eq!(table.revoked_links(), 0, "lapsed entry is still cleared");
+        let lapse = t0 + Duration::from_hours(2); // 7h > 6h lifetime
+        assert_eq!(ps.revoke_link(failed, lapse, t0).len(), 1);
+        assert!(ps.lookup_down(ia(3), lapse).unwrap().is_empty());
+        // An expired segment is not served, so a fresh revocation does
+        // not withhold it either.
+        assert!(ps
+            .revoke_link(failed, lapse + Duration::from_hours(1), lapse)
+            .is_empty());
     }
 
     /// Down-segment `path` (0..8) of three hops, `1 → 2 → leaf`, over
@@ -358,116 +264,115 @@ mod tests {
         seg.forward_hops().collect()
     }
 
+    /// Registers each of `segs`' paths (0..8) with its lifetime at a
+    /// fresh core server, skipping repeats of a path; returns the server
+    /// and the segments, in registration order.
+    fn register_pool(tr: &TrustStore, segs: Vec<(usize, u64)>) -> (PathServer, Vec<PathSegment>) {
+        let mut ps = PathServer::new(ia(1), true);
+        let mut registered: Vec<PathSegment> = Vec::new();
+        for (path, lifetime_s) in segs {
+            let seg = two_link_seg(tr, path, lifetime_s);
+            if registered.iter().all(|r| hops(r) != hops(&seg)) {
+                ps.register_down_segment(seg.clone(), SimTime::ZERO)
+                    .unwrap();
+                registered.push(seg);
+            }
+        }
+        (ps, registered)
+    }
+
+    /// What the server serves at `now`, as hop lists.
+    fn served(ps: &PathServer, now: SimTime) -> Vec<Vec<(IsdAsn, IfId, IfId)>> {
+        [3, 4]
+            .iter()
+            .flat_map(|&leaf| ps.lookup_down(ia(leaf), now).unwrap())
+            .map(|s| hops(&s))
+            .collect()
+    }
+
     proptest! {
-        // The revocation laws over random registrations and random
-        // revocations (renewals included), restores and lookups at
-        // non-decreasing times, against a model of each link's TTL and
-        // of the segments its revocations pulled: while a link's
-        // revocation is in force, nothing it pulled is served; a restore
-        // serves every lapsed, unexpired segment again exactly once and
-        // counts exactly those; an unexpired segment is either served or
-        // parked, never both and never twice; and `next_expiry` and
-        // `is_revoked` follow the model. (A segment that crosses a second
-        // link revoked after it was pulled is served again when the first
-        // revocation lapses; see
-        // `a_segment_stays_unserved_while_any_link_it_crosses_is_revoked`.)
-        fn prop_a_revoked_segment_stays_revoked_until_its_ttl_restore(
+        // The revocation law over random registrations, and random
+        // revocations (renewals included) and lookups at non-decreasing
+        // times, against a model holding only each link's lapse time:
+        // after every step, a registered segment is served, once, exactly
+        // when it is unexpired and no link it crosses is under a
+        // revocation in force; and `revoke_link` returns exactly the
+        // segments served before the call and withheld after it, in
+        // store order.
+        fn prop_a_segment_is_served_exactly_when_unexpired_and_unrevoked(
             segs in proptest::collection::vec((0usize..8, 1u64..40), 1..8),
-            steps in proptest::collection::vec((0u8..3, 0usize..6, 0u64..4, 1u64..8), 0..48),
+            steps in proptest::collection::vec((0u8..2, 0usize..6, 0u64..4, 1u64..8), 0..48),
         ) {
             let tr = trust();
-            let mut ps = PathServer::new(ia(1), true);
-            let mut registered: Vec<PathSegment> = Vec::new();
-            for (path, lifetime_s) in segs {
-                let seg = two_link_seg(&tr, path, lifetime_s);
-                if registered.iter().all(|r| hops(r) != hops(&seg)) {
-                    ps.register_down_segment(seg.clone(), SimTime::ZERO).unwrap();
-                    registered.push(seg);
-                }
-            }
+            let (mut ps, registered) = register_pool(&tr, segs);
             let links = pool_links();
-            let mut table = RevocationTable::new();
-            // Per revoked link: its expiry and the segments it pulled.
-            let mut model: BTreeMap<LinkId, (SimTime, Vec<PathSegment>)> = BTreeMap::new();
+            let mut lapses: BTreeMap<LinkId, SimTime> = BTreeMap::new();
             let mut now = SimTime::ZERO;
             for (op, li, dt, ttl) in steps {
                 now = now + Duration::from_secs(dt);
-                let link = links[li];
-                let mut lapsed: Vec<PathSegment> = Vec::new();
-                match op {
-                    0 => {
-                        let expires = now + Duration::from_secs(ttl);
-                        let pulled = table.revoke(&mut ps, link, now, Duration::from_secs(ttl));
-                        let entry = model.entry(link).or_default();
-                        entry.0 = expires;
-                        entry.1.extend(pulled.iter().cloned());
-                    }
-                    1 => {
-                        let (due, kept) = std::mem::take(&mut model)
-                            .into_iter()
-                            .partition(|(_, (expires, _))| *expires <= now);
-                        model = kept;
-                        let due: BTreeMap<_, _> = due;
-                        lapsed = due
-                            .into_values()
-                            .flat_map(|(_, pulled)| pulled)
-                            .filter(|seg| !seg.is_expired(now))
-                            .collect();
-                        prop_assert_eq!(table.restore_due(&mut ps, now), lapsed.len());
-                    }
-                    _ => {
-                        // A lookup: nothing but the checks below.
-                    }
+                if op == 0 {
+                    let link = links[li];
+                    let until = now + Duration::from_secs(ttl);
+                    let before = served(&ps, now);
+                    let withheld = ps.revoke_link(link, until, now);
+                    lapses.insert(link, until);
+                    let after = served(&ps, now);
+                    let mut expected: Vec<&PathSegment> = registered
+                        .iter()
+                        .filter(|s| before.contains(&hops(s)) && !after.contains(&hops(s)))
+                        .collect();
+                    expected.sort_by_key(|s| s.terminal());
+                    prop_assert_eq!(
+                        withheld.iter().map(hops).collect::<Vec<_>>(),
+                        expected.into_iter().map(hops).collect::<Vec<_>>()
+                    );
                 }
-                let served: Vec<PathSegment> = [3, 4]
-                    .iter()
-                    .flat_map(|&leaf| ps.lookup_down(ia(leaf), now).unwrap())
-                    .collect();
-                for &l in &links {
-                    let in_force = model.get(&l).filter(|(expires, _)| now < *expires);
-                    prop_assert_eq!(table.is_revoked(l, now), in_force.is_some());
-                    for pulled in in_force.iter().flat_map(|(_, pulled)| pulled) {
-                        prop_assert!(
-                            served.iter().all(|s| hops(s) != hops(pulled)),
-                            "{:?} is served while {:?}, which pulled it, is revoked",
-                            hops(pulled),
-                            l
-                        );
-                    }
-                }
-                for seg in &lapsed {
-                    let copies = served.iter().filter(|s| hops(s) == hops(seg)).count();
-                    prop_assert_eq!(copies, 1, "{:?} restored {} times", hops(seg), copies);
-                }
+                let served = served(&ps, now);
                 for seg in &registered {
                     let key = hops(seg);
-                    let stored = ps.clone().deregister_where(|s| hops(s) == key);
-                    let parked = table
-                        .parked
-                        .values()
-                        .flat_map(|(_, parked)| parked)
-                        .filter(|s| hops(s) == key)
-                        .count();
-                    if seg.is_expired(now) {
-                        prop_assert!(stored + parked <= 1, "{:?} kept twice after expiry", key);
-                    } else {
-                        prop_assert_eq!(stored + parked, 1, "{:?} is not in exactly one place", key);
-                        let is_served = served.iter().any(|s| hops(s) == key);
-                        prop_assert_eq!(is_served, stored == 1);
-                    }
+                    let revoked = lapses
+                        .iter()
+                        .any(|(&l, &lapse)| now < lapse && segment_uses_link(seg, l));
+                    let copies = served.iter().filter(|s| **s == key).count();
+                    let expected = usize::from(!seg.is_expired(now) && !revoked);
+                    prop_assert_eq!(copies, expected, "{:?} at {:?}", key, now);
                 }
-                let earliest = model.values().map(|&(expires, _)| expires).min();
-                prop_assert_eq!(table.next_expiry(), earliest);
             }
+        }
+
+        // With no other revocation in force, a soft revocation withholds
+        // exactly what the hard one pulls, less what has expired. An
+        // earlier revocation of some link, lapsed by then, is in the map
+        // or dropped from it; neither may show.
+        fn prop_a_lone_revocation_withholds_what_deregistering_pulls(
+            segs in proptest::collection::vec((0usize..8, 1u64..40), 1..8),
+            earlier in 0usize..6,
+            earlier_lapse_s in 0u64..24,
+            li in 0usize..6,
+            dt in 0u64..24,
+            ttl in 1u64..8,
+        ) {
+            let tr = trust();
+            let (mut ps, _) = register_pool(&tr, segs);
+            let links = pool_links();
+            let lapsed = SimTime::ZERO + Duration::from_secs(earlier_lapse_s);
+            ps.revoke_link(links[earlier], lapsed, SimTime::ZERO);
+            let now = lapsed + Duration::from_secs(dt);
+            let link = links[li];
+            let pulled: Vec<PathSegment> = ps
+                .clone()
+                .deregister_link(link)
+                .into_iter()
+                .filter(|s| !s.is_expired(now))
+                .collect();
+            prop_assert_eq!(ps.revoke_link(link, now + Duration::from_secs(ttl), now), pulled);
         }
     }
 
-    /// The stronger law — no segment crossing a link under revocation is
-    /// served — fails when a segment crosses two revoked links: the
-    /// first revocation to lapse reinstates it while the second is still
-    /// in force. The recovery row meets this case at its default seed.
+    /// The any-link law: a segment crossing two revoked links stays
+    /// unserved until the later of the two revocations lapses. The
+    /// recovery row meets this case at its default seed.
     #[test]
-    #[ignore = "known defect: restore_due reinstates a segment across a link still revoked"]
     fn a_segment_stays_unserved_while_any_link_it_crosses_is_revoked() {
         let tr = trust();
         let mut ps = PathServer::new(ia(1), true);
@@ -476,23 +381,18 @@ mod tests {
             .unwrap();
         let [first, second] = [0, 2].map(|i| pool_links()[i]);
         assert!(segment_uses_link(&seg, first) && segment_uses_link(&seg, second));
-        let mut table = RevocationTable::new();
         let t = |s: u64| SimTime::ZERO + Duration::from_secs(s);
         assert_eq!(
-            table
-                .revoke(&mut ps, second, t(0), Duration::from_secs(3))
-                .len(),
-            1
+            ps.revoke_link(second, t(3), t(0)),
+            std::slice::from_ref(&seg)
         );
-        assert!(table
-            .revoke(&mut ps, first, t(1), Duration::from_secs(7))
-            .is_empty());
-        table.restore_due(&mut ps, t(3));
-        assert!(table.is_revoked(first, t(3)));
+        assert!(ps.revoke_link(first, t(8), t(1)).is_empty());
         assert!(
             ps.lookup_down(ia(3), t(3)).unwrap().is_empty(),
             "served across a revoked link"
         );
+        assert!(ps.lookup_down(ia(3), t(7)).unwrap().is_empty());
+        assert_eq!(ps.lookup_down(ia(3), t(8)).unwrap(), [seg]);
     }
 
     #[test]

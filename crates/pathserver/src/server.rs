@@ -115,6 +115,9 @@ pub struct PathServer {
     /// upstream lookup recently gave up is answered locally until the
     /// verdict lapses, stopping retry storms against a dead origin.
     negative: HashMap<IsdAsn, SimTime>,
+    /// Revoked links and the instant each revocation lapses
+    /// ([`PathServer::revoke_link`]).
+    revoked: BTreeMap<LinkId, SimTime>,
     /// Cache and degradation statistics.
     stats: CacheStats,
 }
@@ -139,6 +142,7 @@ impl PathServer {
             up_segments: Vec::new(),
             cache: HashMap::new(),
             negative: HashMap::new(),
+            revoked: BTreeMap::new(),
             stats: CacheStats::default(),
         }
     }
@@ -226,24 +230,25 @@ impl PathServer {
         Ok(())
     }
 
-    /// Re-registers a segment into the store its type belongs to — the
-    /// restoration half of TTL'd revocation
-    /// ([`crate::revocation::RevocationTable`]).
-    pub fn reinstate_segment(&mut self, seg: PathSegment, now: SimTime) -> Result<(), ServerError> {
-        match seg.seg_type {
-            SegmentType::Down => self.register_down_segment(seg, now),
-            SegmentType::Core => self.register_core_segment(seg, now),
-            SegmentType::Up => self.store_up_segment(seg),
-        }
-    }
-
-    /// The local AS's live up-segments.
+    /// The local AS's live, unrevoked up-segments.
     pub fn up_segments(&self, now: SimTime) -> Vec<PathSegment> {
         self.up_segments
             .iter()
-            .filter(|s| !s.is_expired(now))
+            .filter(|s| self.serves(s, now))
             .cloned()
             .collect()
+    }
+
+    /// True if a lookup at `now` serves the stored `seg`: it is unexpired
+    /// and crosses no link whose revocation is in force.
+    fn serves(&self, seg: &PathSegment, now: SimTime) -> bool {
+        !seg.is_expired(now)
+            && (self.revoked.is_empty()
+                || !seg.links_iter().any(|(a, b)| {
+                    self.revoked
+                        .get(&LinkId::new(a, b))
+                        .is_some_and(|&lapse| now < lapse)
+                }))
     }
 
     /// De-registers segments by predicate, in place. Returns how many were
@@ -279,6 +284,28 @@ impl PathServer {
         pulled
     }
 
+    /// Revokes `link` until `until` (§4.1, with the deployed TTL): no
+    /// lookup serves a segment while any link it crosses is revoked
+    /// (`now < until`), and nothing leaves the stores. A repeat call
+    /// renews the lapse time; every call drops lapsed entries. Returns
+    /// the segments served before the call and withheld after it, in
+    /// [`PathServer::deregister_where`]'s order.
+    pub fn revoke_link(&mut self, link: LinkId, until: SimTime, now: SimTime) -> Vec<PathSegment> {
+        let mut withheld: Vec<PathSegment> = self
+            .down_segments
+            .values()
+            .chain(self.core_segments.values())
+            .flatten()
+            .chain(&self.up_segments)
+            .filter(|s| segment_uses_link(s, link) && self.serves(s, now))
+            .cloned()
+            .collect();
+        self.revoked.insert(link, until);
+        self.revoked.retain(|_, lapse| now < *lapse);
+        withheld.retain(|s| !self.serves(s, now));
+        withheld
+    }
+
     /// Authoritative down-segment lookup at a core server. Rejects the
     /// query with a typed [`ServerError`] on a non-core server.
     pub fn lookup_down(&self, dst: IsdAsn, now: SimTime) -> Result<Vec<PathSegment>, ServerError> {
@@ -288,7 +315,7 @@ impl PathServer {
         Ok(self
             .down_segments
             .get(&dst)
-            .map(|v| v.iter().filter(|s| !s.is_expired(now)).cloned().collect())
+            .map(|v| v.iter().filter(|s| self.serves(s, now)).cloned().collect())
             .unwrap_or_default())
     }
 
@@ -304,7 +331,7 @@ impl PathServer {
         let mut out = Vec::new();
         for (remote, segs) in &self.core_segments {
             if remote.isd == dst_isd {
-                out.extend(segs.iter().filter(|s| !s.is_expired(now)).cloned());
+                out.extend(segs.iter().filter(|s| self.serves(s, now)).cloned());
             }
         }
         Ok(out)
@@ -478,15 +505,23 @@ mod tests {
                 got: SegmentType::Down,
             })
         );
-        // The happy path still lands the segment, and reinstate routes by
-        // type.
+        // The happy path still lands the segment, and a revocation
+        // withholds it without moving it.
         assert_eq!(
             core.register_down_segment(down.clone(), SimTime::ZERO),
             Ok(())
         );
-        assert_eq!(core.deregister_where(|_| true), 1);
-        assert_eq!(core.reinstate_segment(down, SimTime::ZERO), Ok(()));
-        assert_eq!(core.lookup_down(ia(1, 4), SimTime::ZERO).unwrap().len(), 1);
+        let (a, b) = down.links()[0];
+        let lapse = SimTime::ZERO + Duration::from_secs(5);
+        assert_eq!(
+            core.revoke_link(LinkId::new(a, b), lapse, SimTime::ZERO),
+            [down]
+        );
+        assert!(core
+            .lookup_down(ia(1, 4), SimTime::ZERO)
+            .unwrap()
+            .is_empty());
+        assert_eq!(core.lookup_down(ia(1, 4), lapse).unwrap().len(), 1);
         // Errors render for operators.
         let e = ServerError::NotCore { op: "lookup_down" };
         assert_eq!(e.reason(), "not_core");
@@ -760,6 +795,38 @@ mod tests {
         assert_eq!(pulled, [&downs[0], &downs[1], &core, &up].map(Clone::clone));
         assert!(ps.deregister_link(LinkId::new(a, b)).is_empty());
         assert_eq!(ps.lookup_down(ia(1, 4), SimTime::ZERO).unwrap(), [other]);
+    }
+
+    #[test]
+    fn core_and_up_lookups_honour_a_revocation() {
+        let tr = trust();
+        let t = |s: u64| SimTime::ZERO + Duration::from_secs(s);
+        let link = |s: &PathSegment| {
+            let (a, b) = s.links()[0];
+            LinkId::new(a, b)
+        };
+
+        let mut core = PathServer::new(ia(1, 1), true);
+        let core_seg = seg(&tr, SegmentType::Core, ia(1, 1), ia(2, 1), 6);
+        core.register_core_segment(core_seg.clone(), SimTime::ZERO)
+            .unwrap();
+        assert_eq!(
+            core.revoke_link(link(&core_seg), t(5), t(1)),
+            std::slice::from_ref(&core_seg)
+        );
+        assert!(core.lookup_core(Isd(2), t(1)).unwrap().is_empty());
+        assert!(core.lookup_core(Isd(2), t(4)).unwrap().is_empty());
+        assert_eq!(core.lookup_core(Isd(2), t(5)).unwrap(), [core_seg]);
+
+        let mut local = PathServer::new(ia(1, 3), false);
+        let up = seg(&tr, SegmentType::Up, ia(1, 1), ia(1, 3), 6);
+        local.store_up_segment(up.clone()).unwrap();
+        assert_eq!(
+            local.revoke_link(link(&up), t(5), t(1)),
+            std::slice::from_ref(&up)
+        );
+        assert!(local.up_segments(t(4)).is_empty());
+        assert_eq!(local.up_segments(t(5)), [up]);
     }
 
     #[test]

@@ -185,10 +185,8 @@ metric_ids! {
     /// Counter: expired segments garbage-collected from authoritative
     /// stores on registration.
     PS_SEGMENTS_PURGED = "pathserver.segments_purged",
-    /// Counter: revoked segments re-registered after their revocation TTL
-    /// lapsed (expiry-driven path restoration).
-    PS_SEGMENTS_RESTORED = "pathserver.segments_restored",
-    /// Counter: segments pulled from a path server by revocations.
+    /// Counter: segments pulled from a path server, or withheld from its
+    /// lookups, by revocations.
     PS_SEGMENTS_REVOKED = "pathserver.segments_revoked",
     /// Counter: queued requests evicted by higher-priority arrivals.
     PS_SHED_EVICTED = "pathserver.shed_evicted",

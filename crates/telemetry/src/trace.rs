@@ -165,10 +165,10 @@ pub enum TraceEvent {
         /// Destination of the failed-over flow.
         dst: IsdAsn,
     },
-    /// A previously failed path became usable again (failure marks
-    /// expired or revoked segments were restored after their TTL).
+    /// A previously failed path became usable again (the endhost's
+    /// failure marks expired).
     PathRestored {
-        /// The AS whose path set recovered (endhost or path server).
+        /// The endhost AS whose path set recovered.
         node: u32,
         /// Destination whose path was restored.
         dst: IsdAsn,

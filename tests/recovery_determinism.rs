@@ -5,8 +5,9 @@
 //!
 //! This extends the byte-identity guarantee across the whole recovery
 //! plane: the engine-ordered SCMP/revocation/query event interleaving,
-//! the limiter's admission windows, the revocation table's TTL renewals
-//! and restorations, and the lookups' retry wheel.
+//! the limiter's admission windows, the path server's per-link
+//! revocation lapse times and their renewals, and the lookups' retry
+//! wheel.
 
 mod common;
 
