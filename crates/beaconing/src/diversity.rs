@@ -21,13 +21,12 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::ops::Range;
-use std::rc::Rc;
 
-use scion_types::{Duration, IfId, IsdAsn, LinkId, SimTime};
+use scion_types::{Duration, IsdAsn, LinkId, SimTime};
 
 use crate::config::DiversityParams;
 use crate::score::{
-    exponent_sent, exponent_unsent, final_score, DenseCounters, LinkHistory, SentList, SentRecord,
+    exponent_sent, exponent_unsent, final_score, last_sent, DenseCounters, LinkHistory, SentPcb,
 };
 use crate::server::{EgressRef, Pick, PickSource, SelectionCtx};
 use crate::store::BeaconStore;
@@ -37,7 +36,6 @@ use crate::store::BeaconStore;
 pub struct DiversityAlgorithm {
     params: DiversityParams,
     history: LinkHistory,
-    sent: SentList,
 }
 
 /// One thing an interval can send — a stored beacon or the origination —
@@ -47,10 +45,10 @@ struct Sendable<'a> {
     /// The slots of the path's interior links, then of the link it arrived
     /// on (fully resolved locally), as a range of [`Offer::slots`]; empty
     /// for the origination's zero-hop self path. Also the path's
-    /// [`SentList`] key.
+    /// Sent-PCBs-List key.
     path: Range<usize>,
-    /// The path's Sent-PCBs-List records, one per interface it went out
-    /// of, as a range of [`Offer::sent`].
+    /// The path's sent instances, in send order, as a range of
+    /// [`Offer::sent`].
     sent: Range<usize>,
     /// The Eq. (2) exponent.
     unsent_exponent: f64,
@@ -60,11 +58,11 @@ struct Sendable<'a> {
 /// Everything one interval can send, listed once for all neighbors.
 struct Offer<'a> {
     slots: Vec<u32>,
-    /// The sendables' records, copied out once. They hold for the whole
-    /// interval: `select` purges before it lists, and the only write to a
-    /// record of `(sendable, egress)` is that candidate's own pick, which
-    /// ends its candidacy.
-    sent: Vec<(IfId, SentRecord)>,
+    /// The sendables' sent instances, copied out once. They hold for the
+    /// whole interval: `select` purges before it lists, and the only send
+    /// of `(sendable, egress)` is that candidate's own pick, which ends its
+    /// candidacy.
+    sent: Vec<SentPcb>,
     sendables: Vec<Sendable<'a>>,
     /// Each origin, in the order its pairs run, with its `sendables`.
     origins: Vec<(IsdAsn, Range<usize>)>,
@@ -85,7 +83,6 @@ impl DiversityAlgorithm {
         DiversityAlgorithm {
             params,
             history: LinkHistory::new(),
-            sent: SentList::new(),
         }
     }
 
@@ -119,7 +116,6 @@ impl DiversityAlgorithm {
         now: SimTime,
     ) -> Vec<Pick<'a>> {
         self.history.purge(now);
-        self.sent.purge(now);
 
         // Group candidate egress links, each with its slot, by neighbor AS
         // (the pair dimension of Algorithm 1), ordered for determinism.
@@ -139,7 +135,8 @@ impl DiversityAlgorithm {
         for egresses in by_neighbor.values() {
             let neighbor_ia = egresses[0].0.neighbor_ia;
             for (origin, offered) in &offer.origins {
-                // The pair's candidates, each with its record if it has one.
+                // The pair's candidates, each with its Eq. (3) record (its
+                // last send out of the interface) if it has one.
                 candidates.clear();
                 for i in offered.clone() {
                     let s = &offer.sendables[i];
@@ -149,15 +146,14 @@ impl DiversityAlgorithm {
                         }
                     }
                     let sent = &offer.sent[s.sent.clone()];
-                    for (j, (e, _)) in egresses.iter().enumerate() {
-                        let record = sent.iter().find(|(iface, _)| *iface == e.local_if);
-                        let sent_score = record.map(|(_, record)| {
+                    for (j, &(_, slot)) in egresses.iter().enumerate() {
+                        let sent_score = last_sent(sent, slot).map(|record| {
                             let g = exponent_sent(
                                 &self.params,
                                 now.until(record.expires_at),
                                 now.until(s.expires_at),
                             );
-                            final_score(record.diversity_score, g)
+                            final_score(record.diversity_score(self.params.max_geomean), g)
                         });
                         candidates.push(Candidate {
                             sendable: i,
@@ -197,35 +193,10 @@ impl DiversityAlgorithm {
 
                     // Update the Link History Table: "the associated
                     // counters are incremented for every link on its path,
-                    // as well as the one associated with the outgoing link".
-                    // The rollback holds the path's Sent-PCBs-List key.
-                    let key = self.sent.key(path);
-                    counters.record(
-                        &mut self.history,
-                        pair,
-                        Rc::clone(&key),
-                        egress_slot,
-                        s.expires_at,
-                    );
-                    // Store the post-increment diversity score so a
-                    // just-sent path is never considered fully diverse on
-                    // its next evaluation. Floored at a small ε: Eq. 3's
-                    // connectivity recovery raises the score to ds^g with
-                    // g → 0 as the sent instance nears expiry, which only
-                    // reaches ≈ 1 when ds > 0 — a stored score of exactly 0
-                    // would permanently block refreshes of a pair's only
-                    // path (DESIGN.md §6.1).
-                    let post_ds = counters
-                        .diversity_score(path, egress_slot, self.params.max_geomean)
-                        .max(0.01);
-                    self.sent.record(
-                        key,
-                        egress.local_if,
-                        SentRecord {
-                            diversity_score: post_ds,
-                            expires_at: s.expires_at,
-                        },
-                    );
+                    // as well as the one associated with the outgoing link",
+                    // and file the send in the Sent-PCBs List, which rolls
+                    // them back when it expires.
+                    counters.record(&mut self.history, pair, path, egress_slot, s.expires_at);
                     picks.push(Pick {
                         source: s.source.clone(),
                         egress,
@@ -238,7 +209,7 @@ impl DiversityAlgorithm {
     }
 
     /// Lists each origin's live beacons, their links resolved to slots and
-    /// their sent records copied out, and after them the origination when
+    /// their sent instances copied out, and after them the origination when
     /// this AS originates.
     fn offer<'a>(
         &mut self,
@@ -262,7 +233,7 @@ impl DiversityAlgorithm {
                 let ingress = ctx.topo.link_id(beacon.ingress_link);
                 offer.slots.push(self.history.slot(ingress));
                 let path = start..offer.slots.len();
-                let sent = self.sent_records(&mut offer, path.clone(), now);
+                let sent = self.sent_records(&mut offer, path.clone());
                 offer.sendables.push(Sendable {
                     source: PickSource::Stored(beacon),
                     path,
@@ -281,7 +252,7 @@ impl DiversityAlgorithm {
             // Origination flows through the same scoring: the zero-hop
             // self path out of each parallel link to the neighbor.
             let last = offer.sendables.len();
-            let sent = self.sent_records(&mut offer, 0..0, now);
+            let sent = self.sent_records(&mut offer, 0..0);
             offer.sendables.push(Sendable {
                 source: PickSource::Originate,
                 path: 0..0,
@@ -294,16 +265,13 @@ impl DiversityAlgorithm {
         offer
     }
 
-    /// Copies the live records of the path whose slots are `path` in
+    /// Copies the sent instances of the path whose slots are `path` in
     /// `offer.slots` into `offer.sent`, returning where they went.
-    fn sent_records(
-        &self,
-        offer: &mut Offer<'_>,
-        path: Range<usize>,
-        now: SimTime,
-    ) -> Range<usize> {
+    fn sent_records(&self, offer: &mut Offer<'_>, path: Range<usize>) -> Range<usize> {
         let start = offer.sent.len();
-        offer.sent.extend(self.sent.live(&offer.slots[path], now));
+        offer
+            .sent
+            .extend_from_slice(self.history.sent(&offer.slots[path]));
         start..offer.sent.len()
     }
 
@@ -339,14 +307,14 @@ mod tests {
     use scion_crypto::trc::TrustStore;
     use scion_proto::pcb::{PathKey, Pcb};
     use scion_topology::{AsTopology, LinkIndex, Relationship};
-    use scion_types::{Asn, Isd};
+    use scion_types::{Asn, IfId, Isd};
     use std::collections::{HashMap, HashSet};
 
-    /// The selection loop, `LinkHistory` and `SentList` as they stood before
-    /// links were interned, verbatim but for the `pub(super)` the tests read
-    /// through and the two `SentRecord` fields nothing read (the initiation
-    /// and the time of the last send): the oracle of
-    /// `select_matches_the_reference`. `SentRecord`, the exponents and
+    /// The selection loop, `LinkHistory`, `SentList` and `SentRecord` as
+    /// they stood before links were interned, verbatim but for the
+    /// `pub(super)` the tests read through and the two `SentRecord` fields
+    /// nothing read (the initiation and the time of the last send): the
+    /// oracle of `select_matches_the_reference`. The exponents and
     /// `final_score` are shared.
     #[allow(dead_code)]
     mod reference {
@@ -357,9 +325,20 @@ mod tests {
         use scion_types::{Duration, IfId, IsdAsn, LinkId, SimTime};
 
         use crate::config::DiversityParams;
-        use crate::score::{exponent_sent, exponent_unsent, final_score, PairKey, SentRecord};
+        use crate::score::{exponent_sent, exponent_unsent, final_score, PairKey};
         use crate::server::{EgressRef, Pick, PickSource, SelectionCtx};
         use crate::store::{BeaconStore, StoredBeacon};
+
+        /// What the algorithm remembers about a previously-disseminated beacon.
+        #[derive(Clone, Copy, Debug)]
+        pub struct SentRecord {
+            /// Diversity score at (re)send time, *after* the send's own counter
+            /// increments (so a just-sent path never scores as fully diverse).
+            pub diversity_score: f64,
+            /// Expiry of the sent instance: Eq. (3)'s remaining lifetime is
+            /// measured to it.
+            pub expires_at: SimTime,
+        }
 
         /// The candidate path key of `beacon` *as seen by the local AS*
         /// `me`: the beacon's own key extended by the local (not yet
@@ -962,7 +941,7 @@ mod tests {
         (path, pick.egress.link)
     }
 
-    /// The [`SentList`] key `history` gives the arrival path of `source`:
+    /// The Sent-PCBs-List key `history` gives the arrival path of `source`:
     /// the slots of the beacon's interior links, then of its ingress link;
     /// `None` if one of them has no slot yet.
     fn slot_key(
@@ -980,6 +959,13 @@ mod tests {
             .chain([topo.link_id(beacon.ingress_link)])
             .map(|link| history.slot_of(link))
             .collect()
+    }
+
+    /// The slot of the egress link of `pick`.
+    fn egress_slot(history: &LinkHistory, topo: &AsTopology, pick: &Pick<'_>) -> u32 {
+        history
+            .slot_of(topo.link_id(pick.egress.link))
+            .expect("a picked egress link has a slot")
     }
 
     /// The path identity the slot key must match: the beacon's hops and
@@ -1004,18 +990,88 @@ mod tests {
         );
         let key = key.expect("every link of a listed beacon has a slot");
         assert_eq!(key.len(), 3, "two interior links and the ingress link");
-        let iface = picks[0].egress.local_if;
-        let record = algorithm.sent.lookup(&key, iface, at(0)).unwrap();
+        let egress = egress_slot(&algorithm.history, &scenario.topo, &picks[0]);
+        let record = algorithm.history.last_sent(&key, egress, at(0)).unwrap();
         assert_eq!(record.expires_at, beacon.pcb.expires_at);
-        let record = algorithm.sent.lookup(&[], iface, at(0)).unwrap();
+        let record = algorithm.history.last_sent(&[], egress, at(0)).unwrap();
         assert_eq!(
             record.expires_at,
             at(0) + PCB_LIFETIME,
             "the origination's key is []"
         );
-        assert_eq!(algorithm.sent.len(), 2);
-        // One key per path: the list's, the rollback's and this one.
-        assert_eq!(Rc::strong_count(&algorithm.sent.key(&key)), 3);
+        assert_eq!(algorithm.history.sent(&key).len(), 1);
+        assert_eq!(algorithm.history.sent(&[]).len(), 1);
+    }
+
+    /// A re-send never expires before the instance it supersedes: the
+    /// store keeps a path's newest instance, and an origination expires at
+    /// `now + lifetime`. Here the origination is re-sent while its previous
+    /// instance lives (intervals 2 and 4), and a stored path once a newer
+    /// instance of it replaced the one sent (interval 3); each superseded instance
+    /// keeps its path counted until it lapses, and Eq. (3) reads the last.
+    #[test]
+    fn a_resend_outlives_the_instance_it_supersedes() {
+        let secs = |s: u64| SimTime::ZERO + Duration::from_secs(s);
+        // One path from origin 1 straight to `ME`, 10 s old on arrival and
+        // 2000 s long-lived, sent in interval 0 and again in interval 3.
+        let scenario = scenario(
+            1,
+            &[1],
+            &[(1, vec![], 0, 10, 2000, 0), (1, vec![], 0, 10, 2000, 3)],
+        );
+        let mut algorithm = DiversityAlgorithm::new(DiversityParams::default());
+        // Per interval, the expiries on record for the beacon's path and
+        // for the origination, in send order.
+        let expected: [(&[u64], &[u64]); INTERVALS] = [
+            (&[2990], &[2500]),
+            (&[2990], &[2500]),
+            (&[2990], &[2500, 3700]),
+            (&[2990, 4790], &[3700]),
+            (&[4790], &[3700, 4900]),
+        ];
+        let mut interval = 0;
+        scenario
+            .play(true, 1, |ctx, store, now| {
+                let picks = algorithm.select(ctx, store, now);
+                let beacon = store.beacons_of(ia(1), now)[0];
+                let key =
+                    slot_key(&algorithm.history, ctx.topo, &PickSource::Stored(beacon)).unwrap();
+                let egress = ctx.topo.link_id(ctx.egress_links[0].link);
+                let slot = algorithm.history.slot_of(egress).unwrap();
+                let (beacon_sends, originations) = expected[interval];
+                for (key, origin, sends) in
+                    [(&key[..], ia(1), beacon_sends), (&[], ia(ME), originations)]
+                {
+                    let on_record: Vec<SimTime> = algorithm
+                        .history
+                        .sent(key)
+                        .iter()
+                        .map(|s| s.expires_at)
+                        .collect();
+                    prop_assert_eq!(
+                        &on_record,
+                        &sends.iter().map(|&s| secs(s)).collect::<Vec<_>>()
+                    );
+                    let last = algorithm
+                        .history
+                        .last_sent(key, slot, now)
+                        .map(|s| s.expires_at);
+                    prop_assert_eq!(last, on_record.last().copied());
+                    let counted = algorithm
+                        .history
+                        .counter((origin, ctx.egress_links[0].neighbor_ia), egress);
+                    prop_assert_eq!(counted as usize, sends.len());
+                }
+                prop_assert_eq!(
+                    picks.len(),
+                    [2, 0, 1, 1, 1][interval],
+                    "interval {}",
+                    interval
+                );
+                interval += 1;
+                Ok(())
+            })
+            .unwrap();
     }
 
     proptest! {
@@ -1041,11 +1097,12 @@ mod tests {
                 let expected: Vec<_> = theirs.select(ctx, store, now).iter().map(identity).collect();
                 prop_assert_eq!(picked, expected, "picks at {}", now);
                 prop_assert_eq!(ours.history.live_counters(), theirs.history.live_counters());
-                prop_assert_eq!(ours.sent.len(), theirs.sent.len());
+                prop_assert_eq!(ours.history.records(), theirs.sent.len());
 
                 // Every candidate of the interval, as the parent lists
                 // them: its key, its sent record, its diversity score.
-                let record = |r: SentRecord| (r.diversity_score.to_bits(), r.expires_at);
+                let ours_record = |r: SentPcb| (r.diversity_score(params.max_geomean).to_bits(), r.expires_at);
+                let record = |r: reference::SentRecord| (r.diversity_score.to_bits(), r.expires_at);
                 let mut origins = store.origins();
                 origins.push(ctx.me_ia);
                 for e in ctx.egress_links {
@@ -1061,8 +1118,9 @@ mod tests {
                             let key = key.unwrap();
                             prop_assert_eq!(&key, &slot_key(&ours.history, ctx.topo, &c.source).unwrap());
                             prop_assert_eq!(c.key.0.last().unwrap().2, e.local_if);
+                            let egress = ours.history.slot_of(ctx.topo.link_id(e.link)).unwrap();
                             prop_assert_eq!(
-                                ours.sent.lookup(&key, e.local_if, now).map(record),
+                                ours.history.last_sent(&key, egress, now).map(ours_record),
                                 theirs.sent.lookup(e.local_if, &c.key, now).map(record)
                             );
                             let pair = (origin, e.neighbor_ia);
@@ -1150,7 +1208,7 @@ mod tests {
         /// Within one `[origin, neighbor]` pair the picks come out in
         /// non-increasing Eq. (1) score order, each above the threshold:
         /// every pick's score is recomputed on a copy of the state the
-        /// interval began from, through `LinkHistory` and `SentList`
+        /// interval began from, through `LinkHistory` and its Sent-PCBs List
         /// rather than the loop's dense counters.
         #[test]
         fn a_pairs_picks_come_out_by_non_increasing_score(
@@ -1166,7 +1224,6 @@ mod tests {
             scenario.play(originate, limit, |ctx, store, now| {
                 let mut before = algorithm.clone();
                 before.history.purge(now);
-                before.sent.purge(now);
                 let mut last: Option<((IsdAsn, IsdAsn), f64)> = None;
                 for pick in algorithm.select(ctx, store, now) {
                     let mut links = Vec::new();
@@ -1180,10 +1237,14 @@ mod tests {
                     };
                     links.push(ctx.topo.link_id(pick.egress.link));
                     let pair = (origin, pick.egress.neighbor_ia);
-                    let key = slot_key(&algorithm.history, ctx.topo, &pick.source).unwrap();
-                    let score = match before.sent.lookup(&key, pick.egress.local_if, now) {
+                    // `before` interns the links this interval first sees
+                    // as it records them, so its own slots name the key.
+                    let record = slot_key(&before.history, ctx.topo, &pick.source)
+                        .zip(before.history.slot_of(ctx.topo.link_id(pick.egress.link)))
+                        .and_then(|(key, egress)| before.history.last_sent(&key, egress, now));
+                    let score = match record {
                         Some(r) => final_score(
-                            r.diversity_score,
+                            r.diversity_score(params.max_geomean),
                             exponent_sent(&params, now.until(r.expires_at), now.until(expires_at)),
                         ),
                         None => final_score(
@@ -1241,7 +1302,8 @@ mod tests {
                             b.pcb.expires_at,
                         ),
                     };
-                    let record = algorithm.sent.lookup(&key, pick.egress.local_if, now);
+                    let egress = egress_slot(&algorithm.history, ctx.topo, pick);
+                    let record = algorithm.history.last_sent(&key, egress, now);
                     prop_assert_eq!(record.map(|r| r.expires_at), Some(expires_at));
                 }
                 Ok(())

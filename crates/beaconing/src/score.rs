@@ -1,5 +1,5 @@
-//! Diversity-score machinery: Link History Tables, Sent-PCB Lists, and the
-//! Eq. (1)–(3) scoring functions of §4.2.
+//! Diversity-score machinery: Link History Tables, the Sent-PCBs List,
+//! and the Eq. (1)–(3) scoring functions of §4.2.
 //!
 //! ## Link History Table
 //!
@@ -7,19 +7,21 @@
 //! pair. Each table is a one-to-one map from link_ids to their associated
 //! counters … the counter counts the number of times the link is part of a
 //! **valid** path from the origin AS to the neighbor AS." Because validity
-//! matters, counters decay: every increment is recorded as a *contribution*
-//! that is rolled back when the beacon instance that caused it expires
-//! (DESIGN.md §6.2). The contributions themselves wait in the expiry heap,
-//! ordered by `(expiry, sequence number)`, each naming its pair by a `u32`
-//! id and its links by their interned slots.
+//! matters, counters decay: every send's increments are rolled back when
+//! the PCB instance it sent expires (DESIGN.md §6.2). What schedules the
+//! rollback is the send's own entry in the Sent-PCBs List.
 //!
 //! ## Sent-PCBs List
 //!
-//! Per arrival path, the interfaces it was sent out of, each with the
-//! §4.2 record: the link diversity score and the sent instance's expiry
-//! (its age and lifetime, as Eq. (3) reads them). A path is keyed by its
-//! links' interned slots, 4 B per link, and the key is shared with the
-//! pending rollbacks of the path's sends.
+//! Per arrival path, every PCB instance sent for it that has not expired,
+//! in send order, each with the §4.2 record: the link diversity score (as
+//! the post-send geometric mean it is computed from) and the instance's
+//! expiry (its age and lifetime, as Eq. (3) reads them), plus the
+//! interface it went out of and its pair, which is what rolling its
+//! increments back needs. A path is keyed by its links' interned slots,
+//! 4 B per link. Eq. (3) reads the last instance sent out of an interface;
+//! an earlier one of the same interface keeps its increments counted until
+//! it lapses.
 //!
 //! ## Link diversity score
 //!
@@ -44,26 +46,22 @@
 //! * beacons whose previously-sent instance nears expiry (rem_prev → 0 ⇒
 //!   g → 0) score ≈ 1 → *preserve connectivity*.
 
-use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
-use std::collections::hash_map::Entry;
-use std::rc::Rc;
-
-use scion_types::{Duration, FastMap, IfId, IsdAsn, LinkId, SimTime};
+use scion_types::{Duration, FastMap, IsdAsn, LinkId, SimTime};
 
 use crate::config::DiversityParams;
 
 /// The key of one Link History Table: `[origin AS, neighbor AS]`.
 pub type PairKey = (IsdAsn, IsdAsn);
 
-/// Link History Tables for all pairs, with expiry-driven counter decay.
+/// Link History Tables for all pairs, and the Sent-PCBs List whose purge
+/// rolls their counters back.
 ///
 /// Links are interned: the first time a [`LinkId`] is counted or resolved
-/// it gets the next `u32` slot, and tables and pending rollbacks name links
+/// it gets the next `u32` slot, and tables and sent instances name links
 /// by slot, so the selection loop (through `DenseCounters`) hashes a link
 /// once per interval instead of once per score. Pairs are interned the same
-/// way the first time one is counted, so a pending rollback names its pair
-/// in 4 B.
+/// way the first time one is counted, so a sent instance names its pair in
+/// 4 B.
 ///
 /// Slots and pair ids are never freed. What bounds them: a link is interned
 /// only when it lies on a path this server stored or sent (a stored
@@ -71,6 +69,15 @@ pub type PairKey = (IsdAsn, IsdAsn);
 /// holds at most as many slots as the topology has links, however long it
 /// runs; a pair gets an id only when something is sent for it, so there
 /// are at most origins × neighbors of them.
+///
+/// Within one server the slot key of the Sent-PCBs List names a path
+/// exactly as its hops and ingress interface would: a slot names one link
+/// for good, the links of a loop-free path fix the order of its ASes and
+/// every interface on it, and the local AS, which ends every path, fixes
+/// its direction. A key holds the beacon's interior links, then the one it
+/// arrived on; the origination's key is `[]`. The egress link a send
+/// appends is its instance's, so one key per arrival path names every
+/// instance a candidate of it can read.
 #[derive(Clone, Debug, Default)]
 pub struct LinkHistory {
     slots: FastMap<LinkId, u32>,
@@ -79,30 +86,45 @@ pub struct LinkHistory {
     /// Per pair id, the non-zero counters as `(slot, count)`, ordered by
     /// slot; an emptied table gives its allocation back.
     counters: Vec<Vec<(u32, u32)>>,
-    /// Pending rollbacks, earliest first.
-    expiries: BinaryHeap<Reverse<Contribution>>,
-    next_seq: u64,
+    /// The Sent-PCBs List: per arrival path, its unexpired sends in send
+    /// order.
+    sent: FastMap<Box<[u32]>, Vec<SentPcb>>,
 }
 
-/// One dissemination's counter increments, rolled back at `at`. `seq`
-/// numbers contributions in recording order and is unique, so the derived
-/// order is `(at, seq)`: two that expire together roll back in the order
-/// they were recorded.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct Contribution {
-    at: SimTime,
-    seq: u64,
-    /// The pair's id (see [`LinkHistory::pairs`]).
+/// One sent PCB instance (§4.2: "the algorithm stores the link diversity
+/// score as well as the age and the lifetime of every PCB it disseminates
+/// to each egress interface"). Its path's links and its egress link stay
+/// counted for its pair until it expires.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SentPcb {
+    /// The slot of the egress link it went out of, which names the local
+    /// interface.
+    pub(crate) egress: u32,
+    /// The pair's id: its table's index in the history's counters.
     pair: u32,
-    /// The slot of the path's last link, the one it went out of.
-    egress: u32,
-    /// The slots of the links before it: the path's Sent-PCBs-List key,
-    /// shared with the list.
-    path: Rc<[u32]>,
+    /// The geometric mean of the path's counters *after* the send's own
+    /// increments, so a just-sent path never scores as fully diverse.
+    geomean: f64,
+    /// Expiry of the sent instance: Eq. (3)'s remaining lifetime is
+    /// measured to it.
+    pub expires_at: SimTime,
 }
 
+// One per send until it lapses: a field that makes it bigger fails the
+// build.
 #[cfg(target_pointer_width = "64")]
-const _: () = assert!(std::mem::size_of::<Contribution>() == 40);
+const _: () = assert!(std::mem::size_of::<SentPcb>() == 24);
+
+impl SentPcb {
+    /// The diversity score Eq. (3) raises to its exponent, floored at a
+    /// small ε: Eq. (3)'s connectivity recovery raises the score to ds^g
+    /// with g → 0 as the sent instance nears expiry, which only reaches ≈ 1
+    /// when ds > 0 — a score of exactly 0 would permanently block refreshes
+    /// of a pair's only path (DESIGN.md §6.1).
+    pub fn diversity_score(&self, max_geomean: f64) -> f64 {
+        score_of(self.geomean, max_geomean).max(0.01)
+    }
+}
 
 /// Position of `slot` in a pair's table, or where it would be inserted.
 fn find_slot(table: &[(u32, u32)], slot: u32) -> Result<usize, usize> {
@@ -130,28 +152,31 @@ impl LinkHistory {
         LinkHistory::default()
     }
 
-    /// Rolls back contributions whose beacon instances have expired.
+    /// Drops every sent instance that has expired by `now` and rolls its
+    /// counter increments back.
     pub fn purge(&mut self, now: SimTime) {
-        while let Some(top) = self.expiries.peek_mut() {
-            if top.0.at > now {
-                break;
-            }
-            let Reverse(Contribution {
-                pair, egress, path, ..
-            }) = PeekMut::pop(top);
-            let table = &mut self.counters[pair as usize];
-            for &slot in path.iter().chain([&egress]) {
-                if let Ok(i) = find_slot(table, slot) {
-                    table[i].1 -= 1;
-                    if table[i].1 == 0 {
-                        table.remove(i);
+        let counters = &mut self.counters;
+        self.sent.retain(|path, sends| {
+            sends.retain(|sent| {
+                if now < sent.expires_at {
+                    return true;
+                }
+                let table = &mut counters[sent.pair as usize];
+                for &slot in path.iter().chain([&sent.egress]) {
+                    if let Ok(i) = find_slot(table, slot) {
+                        table[i].1 -= 1;
+                        if table[i].1 == 0 {
+                            table.remove(i);
+                        }
                     }
                 }
-            }
-            if table.is_empty() {
-                *table = Vec::new();
-            }
-        }
+                if table.is_empty() {
+                    *table = Vec::new();
+                }
+                false
+            });
+            !sends.is_empty()
+        });
     }
 
     /// The slot of `link`, interning it on first sight.
@@ -184,21 +209,44 @@ impl LinkHistory {
         self.counter_in(self.table(pair), link)
     }
 
-    /// Records a dissemination: increments every link's counter for `pair`
-    /// and schedules the rollback at `expires_at`. An empty path counts
-    /// nothing and is not recorded.
+    /// Records a dissemination over `links`, the last of them the egress
+    /// link: increments every link's counter for `pair` until `expires_at`,
+    /// and files the sent instance under the path of the links before the
+    /// egress link. An empty path counts nothing and is not recorded.
     pub fn record_dissemination(&mut self, pair: PairKey, links: &[LinkId], expires_at: SimTime) {
         let Some((&last, links)) = links.split_last() else {
             return;
         };
-        let path = links.iter().map(|&link| self.slot(link)).collect();
+        let path: Vec<u32> = links.iter().map(|&link| self.slot(link)).collect();
         let egress = self.slot(last);
-        self.record_slots(pair, path, egress, expires_at);
+        self.record(pair, &path, egress, expires_at, |table| {
+            let mut log_sum = 0.0f64;
+            for &slot in path.iter().chain([&egress]) {
+                log_sum += find_slot(table, slot).map_or(0.0, |i| ln_smoothed(table[i].1));
+            }
+            geomean(log_sum, path.len() + 1)
+        });
     }
 
     /// [`LinkHistory::record_dissemination`] for links already resolved by
-    /// [`LinkHistory::slot`].
-    fn record_slots(&mut self, pair: PairKey, path: Rc<[u32]>, egress: u32, expires_at: SimTime) {
+    /// [`LinkHistory::slot`]: the one place a send is counted and filed.
+    /// `geomean` reads the path's post-send geometric mean off the pair's
+    /// table once the send is counted in it.
+    ///
+    /// A re-send out of the same interface supersedes the path's earlier
+    /// instance there for Eq. (3) and never expires before it: the store
+    /// keeps only a path's newest instance, an origin stamps every PCB
+    /// with the same lifetime, and an origination expires at `now +
+    /// lifetime`. So the last instance of an interface lapses last, and
+    /// while it is live it is the one Eq. (3) reads.
+    fn record(
+        &mut self,
+        pair: PairKey,
+        path: &[u32],
+        egress: u32,
+        expires_at: SimTime,
+        geomean: impl FnOnce(&[(u32, u32)]) -> f64,
+    ) {
         let next = self.counters.len() as u32;
         let pair = *self.pairs.entry(pair).or_insert(next);
         if pair == next {
@@ -211,15 +259,43 @@ impl LinkHistory {
                 Err(i) => table.insert(i, (slot, 1)),
             }
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.expiries.push(Reverse(Contribution {
-            at: expires_at,
-            seq,
-            pair,
+        let sent = SentPcb {
             egress,
-            path,
-        }));
+            pair,
+            geomean: geomean(table),
+            expires_at,
+        };
+        match self.sent.get_mut(path) {
+            Some(sends) => {
+                debug_assert!(
+                    sends
+                        .iter()
+                        .rev()
+                        .find(|s| s.egress == egress)
+                        .is_none_or(|last| last.expires_at <= expires_at),
+                    "a re-send expires before the instance it supersedes"
+                );
+                sends.push(sent);
+            }
+            None => {
+                self.sent.insert(path.into(), vec![sent]);
+            }
+        }
+    }
+
+    /// The unexpired instances sent for the path keyed by `path`, in send
+    /// order (those past their expiry until [`LinkHistory::purge`] drops
+    /// them).
+    pub fn sent(&self, path: &[u32]) -> &[SentPcb] {
+        self.sent.get(path).map_or(&[], Vec::as_slice)
+    }
+
+    /// Eq. (3)'s record of the path keyed by `path` on the interface of
+    /// the egress link `egress`: the last instance sent out of it, while
+    /// it is live (an expired previously-sent instance no longer counts as
+    /// "previously sent").
+    pub fn last_sent(&self, path: &[u32], egress: u32, now: SimTime) -> Option<SentPcb> {
+        last_sent(self.sent(path), egress).filter(|sent| now < sent.expires_at)
     }
 
     /// The geometric mean of the **+1-smoothed** counters of `links` for
@@ -256,10 +332,26 @@ impl LinkHistory {
         score_of(self.geometric_mean(pair, links), max_geomean)
     }
 
+    /// The number of (path, interface) pairs with a send on record.
+    #[cfg(test)]
+    pub(crate) fn records(&self) -> usize {
+        let records = |sends: &Vec<SentPcb>| {
+            let last =
+                |(i, s): &(usize, &SentPcb)| !sends[i + 1..].iter().any(|l| l.egress == s.egress);
+            sends.iter().enumerate().filter(last).count()
+        };
+        self.sent.values().map(records).sum()
+    }
+
     /// Number of live (pair, link) counters — for tests and memory stats.
     pub fn live_counters(&self) -> usize {
         self.counters.iter().map(Vec::len).sum()
     }
+}
+
+/// The last of `sends` that went out of the egress link `egress`.
+pub(crate) fn last_sent(sends: &[SentPcb], egress: u32) -> Option<SentPcb> {
+    sends.iter().rev().find(|s| s.egress == egress).copied()
 }
 
 /// One pair's Link History Table spread over an array indexed by slot, so
@@ -303,14 +395,16 @@ impl DenseCounters {
         &mut self,
         history: &mut LinkHistory,
         pair: PairKey,
-        path: Rc<[u32]>,
+        path: &[u32],
         egress: u32,
         expires_at: SimTime,
     ) {
         for &slot in path.iter().chain([&egress]) {
             self.counts[slot as usize] += 1;
         }
-        history.record_slots(pair, path, egress, expires_at);
+        history.record(pair, path, egress, expires_at, |_| {
+            self.geomean(path, egress)
+        });
     }
 
     fn ln_smoothed(&self, slot: u32) -> f64 {
@@ -321,125 +415,21 @@ impl DenseCounters {
         }
     }
 
-    /// [`LinkHistory::diversity_score`] of the path `[path.., egress]` for
+    /// [`LinkHistory::geometric_mean`] of the path `[path.., egress]` for
     /// the loaded pair, summed in that order.
-    pub(crate) fn diversity_score(&self, path: &[u32], egress: u32, max_geomean: f64) -> f64 {
+    fn geomean(&self, path: &[u32], egress: u32) -> f64 {
         let mut log_sum = 0.0f64;
         for &slot in path {
             log_sum += self.ln_smoothed(slot);
         }
         log_sum += self.ln_smoothed(egress);
-        score_of(geomean(log_sum, path.len() + 1), max_geomean)
-    }
-}
-
-/// What the algorithm remembers about a previously-disseminated beacon
-/// (§4.2: "the algorithm stores the link diversity score as well as the age
-/// and the lifetime of every PCB it disseminates to each egress
-/// interface"): what Eq. (3) reads of it.
-#[derive(Clone, Copy, Debug)]
-pub struct SentRecord {
-    /// Diversity score at (re)send time, *after* the send's own counter
-    /// increments (so a just-sent path never scores as fully diverse).
-    pub diversity_score: f64,
-    /// Expiry of the sent instance: Eq. (3)'s remaining lifetime is
-    /// measured to it.
-    pub expires_at: SimTime,
-}
-
-#[cfg(target_pointer_width = "64")]
-const _: () = assert!(std::mem::size_of::<SentRecord>() == 16);
-
-/// The Sent-PCBs List: per path a beacon arrived on, one record per
-/// interface it was sent out of.
-///
-/// A path's key is the slots [`LinkHistory`] interned for its links,
-/// in order — the beacon's interior links, then the one it arrived on — and
-/// the origination's key is `[]`. The egress link the full candidate path
-/// `[p, iface]` would append is left out: the interface a record is filed
-/// under names it, so one key per arrival path names every record a
-/// candidate of it can read. A key is shared: every pending rollback of a
-/// send of the path holds it ([`SentList::key`]) rather than a copy.
-///
-/// Within one server the slot key names a path exactly as its hops and
-/// ingress interface would: a slot names one link for good (slots are
-/// never freed), the links of a loop-free path fix the order of its ASes
-/// and every interface on it, and the local AS, which ends every path,
-/// fixes its direction.
-#[derive(Clone, Debug, Default)]
-pub struct SentList {
-    by_path: FastMap<Rc<[u32]>, Vec<(IfId, SentRecord)>>,
-}
-
-impl SentList {
-    pub fn new() -> SentList {
-        SentList::default()
+        geomean(log_sum, path.len() + 1)
     }
 
-    /// The live records of the path keyed by `key`, one per interface (an
-    /// expired previously-sent instance no longer counts as "previously
-    /// sent"; [`SentList::purge`] is what deletes it).
-    pub fn live<'a>(
-        &'a self,
-        key: &[u32],
-        now: SimTime,
-    ) -> impl Iterator<Item = (IfId, SentRecord)> + 'a {
-        self.by_path
-            .get(key)
-            .map_or(&[][..], Vec::as_slice)
-            .iter()
-            .filter(move |(_, record)| now < record.expires_at)
-            .copied()
-    }
-
-    /// The live record of the path keyed by `key` on `iface`.
-    pub fn lookup(&self, key: &[u32], iface: IfId, now: SimTime) -> Option<SentRecord> {
-        self.live(key, now)
-            .find(|&(i, _)| i == iface)
-            .map(|(_, record)| record)
-    }
-
-    /// The key of the path `path`: the list's own if it has one, a new one
-    /// otherwise.
-    pub fn key(&self, path: &[u32]) -> Rc<[u32]> {
-        self.by_path
-            .get_key_value(path)
-            .map_or_else(|| Rc::from(path), |(key, _)| Rc::clone(key))
-    }
-
-    /// Inserts or refreshes the record of the path keyed by `key` on `iface`
-    /// ("If a path is sent again, its corresponding timers in Sent PCBs
-    /// List get updated").
-    pub fn record(&mut self, key: Rc<[u32]>, iface: IfId, record: SentRecord) {
-        let records = match self.by_path.entry(key) {
-            Entry::Occupied(records) => records.into_mut(),
-            Entry::Vacant(path) => {
-                path.insert(vec![(iface, record)]);
-                return;
-            }
-        };
-        match records.iter_mut().find(|(i, _)| *i == iface) {
-            Some(slot) => slot.1 = record,
-            None => records.push((iface, record)),
-        }
-    }
-
-    /// Drops every expired record (periodic housekeeping).
-    pub fn purge(&mut self, now: SimTime) {
-        self.by_path.retain(|_, records| {
-            records.retain(|(_, r)| now < r.expires_at);
-            !records.is_empty()
-        });
-    }
-
-    /// Total live records.
-    pub fn len(&self) -> usize {
-        self.by_path.values().map(Vec::len).sum()
-    }
-
-    /// True if no records exist.
-    pub fn is_empty(&self) -> bool {
-        self.by_path.is_empty()
+    /// [`LinkHistory::diversity_score`] of the path `[path.., egress]` for
+    /// the loaded pair.
+    pub(crate) fn diversity_score(&self, path: &[u32], egress: u32, max_geomean: f64) -> f64 {
+        score_of(self.geomean(path, egress), max_geomean)
     }
 }
 
@@ -466,7 +456,7 @@ pub fn final_score(diversity_score: f64, exponent: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scion_types::{Asn, Isd, LinkEnd};
+    use scion_types::{Asn, IfId, Isd, LinkEnd};
 
     fn ia(asn: u64) -> IsdAsn {
         IsdAsn::new(Isd(1), Asn::from_u64(asn))
@@ -590,73 +580,69 @@ mod tests {
 
     #[test]
     fn sent_list_lookup_and_expiry() {
-        let mut s = SentList::new();
-        let key = [3, 1];
-        let rec = SentRecord {
-            diversity_score: 0.8,
-            expires_at: t(100),
-        };
-        s.record(s.key(&key), IfId(1), rec);
-        assert!(s.lookup(&key, IfId(1), t(50)).is_some());
-        assert!(s.lookup(&key, IfId(2), t(50)).is_none(), "per-interface");
-        assert!(s.lookup(&[3], IfId(1), t(50)).is_none(), "per-path");
-        // At expiry the record stops answering; the purge deletes it.
-        assert!(s.lookup(&key, IfId(1), t(100)).is_none());
-        assert_eq!(s.live(&key, t(100)).count(), 0);
-        assert_eq!(s.len(), 1, "a read deletes nothing");
-        s.purge(t(100));
-        assert!(s.is_empty());
+        let mut h = LinkHistory::new();
+        let pair = (ia(1), ia(2));
+        let (a, b, out) = (link(1, 1, 3, 1), link(3, 2, 4, 1), link(4, 2, 5, 1));
+        h.record_dissemination(pair, &[a, b, out], t(100));
+        let key = [h.slot(a), h.slot(b)];
+        let (out, other) = (h.slot(out), h.slot(link(4, 3, 6, 1)));
+        let sent = h.last_sent(&key, out, t(50)).unwrap();
+        assert_eq!(sent.expires_at, t(100));
+        // Counted 1 on each of three links: gm = 2, ds = 1 − 2/8.
+        assert_eq!(sent.diversity_score(8.0), 0.75);
+        assert!(h.last_sent(&key, other, t(50)).is_none(), "per-interface");
+        assert!(h.last_sent(&key[..1], out, t(50)).is_none(), "per-path");
+        // At expiry the instance stops answering; the purge deletes it.
+        assert!(h.last_sent(&key, out, t(100)).is_none());
+        assert_eq!(h.sent(&key).len(), 1, "a read deletes nothing");
+        assert_eq!(h.counter(pair, a), 1, "nor rolls anything back");
+        h.purge(t(100));
+        assert!(h.sent(&key).is_empty());
+        assert_eq!(h.live_counters(), 0);
     }
 
     #[test]
     fn sent_list_purge() {
-        let mut s = SentList::new();
+        let mut h = LinkHistory::new();
+        let shared = link(1, 1, 3, 1);
         for i in 0..5u16 {
-            // Two paths, the origination's and one of a link, the records
-            // of each spread over interfaces.
-            let key: &[u32] = if i % 2 == 0 { &[0] } else { &[] };
-            s.record(
-                s.key(key),
-                IfId(i),
-                SentRecord {
-                    diversity_score: 1.0,
-                    expires_at: t(100 + u64::from(i)),
-                },
-            );
+            // Two paths, the origination's and one of a link, the sends of
+            // each spread over interfaces.
+            let path: &[LinkId] = if i % 2 == 0 { &[shared] } else { &[] };
+            let links = [path, &[link(3, 10 + i, 9, i)]].concat();
+            h.record_dissemination((ia(1), ia(2)), &links, t(100 + u64::from(i)));
         }
-        assert_eq!(s.len(), 5);
-        s.purge(t(102));
-        assert_eq!(s.len(), 2);
-        s.purge(t(103));
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.live(&[0], t(103)).count(), 1);
-        assert_eq!(s.live(&[], t(103)).count(), 0);
+        let key = [h.slot(shared)];
+        assert_eq!((h.sent(&key).len(), h.sent(&[]).len()), (3, 2));
+        assert_eq!(h.counter((ia(1), ia(2)), shared), 3);
+        h.purge(t(102));
+        assert_eq!((h.sent(&key).len(), h.sent(&[]).len()), (1, 1));
+        assert_eq!(h.counter((ia(1), ia(2)), shared), 1);
+        h.purge(t(103));
+        assert_eq!((h.sent(&key).len(), h.sent(&[]).len()), (1, 0));
+        assert_eq!(h.live_counters(), 2, "the last send's two links");
     }
 
     #[test]
-    fn resend_update_refreshes_timers() {
-        let mut s = SentList::new();
-        let key = [];
-        s.record(
-            s.key(&key),
-            IfId(1),
-            SentRecord {
-                diversity_score: 0.8,
-                expires_at: t(100),
-            },
-        );
-        s.record(
-            s.key(&key),
-            IfId(1),
-            SentRecord {
-                diversity_score: 0.6,
-                expires_at: t(150),
-            },
-        );
-        let r = s.lookup(&key, IfId(1), t(70)).unwrap();
-        assert_eq!(r.expires_at, t(150));
-        assert_eq!(r.diversity_score, 0.6);
-        assert_eq!(s.len(), 1);
+    fn a_resend_supersedes_for_eq3_and_both_count_until_they_lapse() {
+        let mut h = LinkHistory::new();
+        let pair = (ia(1), ia(2));
+        let out = link(1, 1, 3, 1);
+        h.record_dissemination(pair, &[out], t(100));
+        h.record_dissemination(pair, &[out], t(150));
+        let slot = h.slot(out);
+        let sent = h.last_sent(&[], slot, t(70)).unwrap();
+        assert_eq!(sent.expires_at, t(150));
+        // Counted twice: gm = 3, ds = 1 − 3/8.
+        assert_eq!(sent.diversity_score(8.0), 0.625);
+        assert_eq!(h.sent(&[]).len(), 2);
+        assert_eq!(h.counter(pair, out), 2);
+        h.purge(t(100));
+        assert_eq!(h.counter(pair, out), 1, "the superseded send lapsed");
+        assert_eq!(h.last_sent(&[], slot, t(100)), Some(sent));
+        h.purge(t(150));
+        assert_eq!(h.live_counters(), 0);
+        assert!(h.sent(&[]).is_empty());
     }
 
     #[test]
@@ -678,6 +664,136 @@ mod tests {
     mod proptests {
         use super::*;
         use proptest::prelude::*;
+
+        /// The arrival paths the conservation law sends: the origination's
+        /// (`[]`) and three that share links, each with its origin.
+        fn paths() -> [(u64, Vec<LinkId>); 4] {
+            let (a, b, c) = (link(1, 1, 2, 1), link(2, 2, 50, 1), link(3, 1, 50, 2));
+            [(50, vec![]), (1, vec![a]), (1, vec![a, b]), (3, vec![c, b])]
+        }
+
+        /// The egress links the conservation law sends out of, to
+        /// neighbors 60, 61 and 62.
+        fn egresses() -> [LinkId; 3] {
+            [0, 1, 2].map(|e| link(50, 10 + e, 60 + u64::from(e), 1))
+        }
+
+        /// One send of the conservation law's model.
+        struct Send {
+            path: usize,
+            egress: usize,
+            pair: PairKey,
+            links: Vec<LinkId>,
+            expires_at: SimTime,
+            geomean: f64,
+        }
+
+        /// Number of the model's unpurged sends of `pair` that cross `link`.
+        fn model_count(model: &[Send], pair: PairKey, link: LinkId) -> u32 {
+            model
+                .iter()
+                .filter(|s| s.pair == pair && s.links.contains(&link))
+                .count() as u32
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+            /// The rollback schedule's conservation law. Random sends,
+            /// re-sends of a live (path, interface), clock steps and purges
+            /// at non-decreasing times play against a model that keeps
+            /// every send until a purge at or after its expiry drops it; a
+            /// (path, interface)'s sends expire `now + lifetime` with one
+            /// lifetime each, so a re-send never expires first. After every
+            /// step: each `(pair, link)` counter is the number of the
+            /// model's sends of the pair that cross the link,
+            /// `live_counters` is the number of such non-zero counters, and
+            /// the Eq. (3) record of each (path, interface) is its last
+            /// send while that send is live and nothing once it lapsed.
+            #[test]
+            fn counters_are_the_unpurged_sends_and_eq3_reads_the_last(
+                steps in proptest::collection::vec((0u8..5, 0usize..64, 0u64..4), 1..80),
+                lifetimes in proptest::collection::vec(1u64..10, 12..=12),
+            ) {
+                let (paths, egresses) = (paths(), egresses());
+                let pairs: Vec<PairKey> = [50, 1, 3]
+                    .into_iter()
+                    .flat_map(|origin| (60..63).map(move |n| (ia(origin), ia(n))))
+                    .collect();
+                let mut universe: Vec<LinkId> = paths
+                    .iter()
+                    .flat_map(|(_, links)| links.iter().copied())
+                    .chain(egresses)
+                    .collect();
+                universe.sort();
+                universe.dedup();
+                let mut h = LinkHistory::new();
+                let mut model: Vec<Send> = Vec::new();
+                let mut now = t(0);
+                for &(kind, pick, dt) in &steps {
+                    let send = match kind {
+                        0 | 1 => Some((pick % paths.len(), pick / paths.len() % egresses.len())),
+                        2 => {
+                            let live: Vec<_> = model.iter().filter(|s| now < s.expires_at).collect();
+                            (!live.is_empty()).then(|| {
+                                let s = live[pick % live.len()];
+                                (s.path, s.egress)
+                            })
+                        }
+                        3 => {
+                            now = now + Duration::from_secs(dt);
+                            None
+                        }
+                        _ => {
+                            h.purge(now);
+                            model.retain(|s| now < s.expires_at);
+                            None
+                        }
+                    };
+                    if let Some((path, egress)) = send {
+                        let (origin, interior) = &paths[path];
+                        let pair = (ia(*origin), ia(60 + egress as u64));
+                        let links = [&interior[..], &[egresses[egress]]].concat();
+                        let lifetime = lifetimes[path * egresses.len() + egress];
+                        let expires_at = now + Duration::from_secs(lifetime);
+                        h.record_dissemination(pair, &links, expires_at);
+                        model.push(Send { path, egress, pair, links, expires_at, geomean: 0.0 });
+                        let mut log_sum = 0.0f64;
+                        for &link in &model.last().unwrap().links {
+                            log_sum += f64::from(model_count(&model, pair, link) + 1).ln();
+                        }
+                        let last = model.last_mut().unwrap();
+                        last.geomean = (log_sum / last.links.len() as f64).exp();
+                    }
+
+                    let mut non_zero = 0;
+                    for &pair in &pairs {
+                        for &link in &universe {
+                            let count = model_count(&model, pair, link);
+                            prop_assert_eq!(h.counter(pair, link), count, "{:?} {:?} at {}", pair, link, now);
+                            non_zero += usize::from(count > 0);
+                        }
+                    }
+                    prop_assert_eq!(h.live_counters(), non_zero);
+                    for (p, (_, interior)) in paths.iter().enumerate() {
+                        for (e, &out) in egresses.iter().enumerate() {
+                            let expected = model
+                                .iter()
+                                .rev()
+                                .find(|s| (s.path, s.egress) == (p, e))
+                                .filter(|s| now < s.expires_at)
+                                .map(|s| (s.expires_at, s.geomean.to_bits()));
+                            let key: Option<Vec<u32>> = interior.iter().map(|&l| h.slot_of(l)).collect();
+                            let read = key
+                                .zip(h.slot_of(out))
+                                .and_then(|(key, out)| h.last_sent(&key, out, now))
+                                .map(|s| (s.expires_at, s.geomean.to_bits()));
+                            prop_assert_eq!(read, expected, "path {} out of {} at {}", p, e, now);
+                        }
+                    }
+                }
+            }
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -726,8 +842,8 @@ mod tests {
                 }
                 for (slots, times) in &table {
                     for _ in 0..*times {
-                        let (&egress, path) = slots.split_last().unwrap();
-                        h.record_slots(pair, path.into(), egress, t(100));
+                        let links: Vec<_> = slots.iter().map(|&s| link(1, s as u16, 2, s as u16)).collect();
+                        h.record_dissemination(pair, &links, t(100));
                     }
                 }
                 let mut counters = DenseCounters::new(&h);
@@ -738,7 +854,7 @@ mod tests {
                 let mut before = score(&counters);
                 for slots in &recorded {
                     let (&egress, path) = slots.split_last().unwrap();
-                    counters.record(&mut h, pair, path.into(), egress, t(100));
+                    counters.record(&mut h, pair, path, egress, t(100));
                     let after = score(&counters);
                     prop_assert!(after >= 0.0, "negative score {}", after);
                     prop_assert!(after.to_bits() <= before.to_bits(), "rose from {} to {}", before, after);
