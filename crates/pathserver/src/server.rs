@@ -242,13 +242,7 @@ impl PathServer {
     /// True if a lookup at `now` serves the stored `seg`: it is unexpired
     /// and crosses no link whose revocation is in force.
     fn serves(&self, seg: &PathSegment, now: SimTime) -> bool {
-        !seg.is_expired(now)
-            && (self.revoked.is_empty()
-                || !seg.links_iter().any(|(a, b)| {
-                    self.revoked
-                        .get(&LinkId::new(a, b))
-                        .is_some_and(|&lapse| now < lapse)
-                }))
+        !seg.is_expired(now) && unrevoked(&self.revoked, seg, now)
     }
 
     /// De-registers segments by predicate, in place. Returns how many were
@@ -339,7 +333,9 @@ impl PathServer {
 
     /// Cached lookup at a local server: hit if a live cached answer
     /// exists, miss otherwise (caller fetches upstream and calls
-    /// [`PathServer::cache_insert`]).
+    /// [`PathServer::cache_insert`]). A cached segment is live as a stored
+    /// one is served: unexpired and across no link this server has revoked
+    /// ([`PathServer::revoke_link`]).
     ///
     /// An entry whose segments all lapsed is *kept* for
     /// [`PathServer::STALE_GRACE`] past expiry — [`PathServer::lookup_stale`]
@@ -349,7 +345,7 @@ impl PathServer {
         if let Some((segs, _)) = self.cache.get_mut(&dst) {
             let live: Vec<PathSegment> = segs
                 .iter()
-                .filter(|s| !s.is_expired(now))
+                .filter(|s| !s.is_expired(now) && unrevoked(&self.revoked, s, now))
                 .cloned()
                 .collect();
             if !live.is_empty() {
@@ -368,7 +364,8 @@ impl PathServer {
 
     /// Graceful degradation: serves `dst`'s recently-expired cached
     /// segments — expired no earlier than [`PathServer::STALE_GRACE`]
-    /// before `now` — for a caller whose upstream retries exhausted.
+    /// before `now` and across no link revoked at `now` — for a caller
+    /// whose upstream retries exhausted.
     /// Returns `None` when nothing recent enough is cached; the caller
     /// should then fall back to [`PathServer::note_unreachable`]. Served
     /// segments are stale by construction: the caller must surface them
@@ -380,7 +377,7 @@ impl PathServer {
             .get(&dst)?
             .0
             .iter()
-            .filter(|s| !s.is_expired(horizon))
+            .filter(|s| !s.is_expired(horizon) && unrevoked(&self.revoked, s, now))
             .cloned()
             .collect();
         if stale.is_empty() {
@@ -442,6 +439,17 @@ impl PathServer {
     pub fn cache_stats(&self) -> CacheStats {
         self.stats
     }
+}
+
+/// True if `seg` crosses no link whose revocation in `revoked` is in force
+/// at `now`; a single branch when nothing is revoked.
+fn unrevoked(revoked: &BTreeMap<LinkId, SimTime>, seg: &PathSegment, now: SimTime) -> bool {
+    revoked.is_empty()
+        || !seg.links_iter().any(|(a, b)| {
+            revoked
+                .get(&LinkId::new(a, b))
+                .is_some_and(|&lapse| now < lapse)
+        })
 }
 
 /// `now - grace`, saturating at the epoch.
@@ -827,6 +835,31 @@ mod tests {
         );
         assert!(local.up_segments(t(4)).is_empty());
         assert_eq!(local.up_segments(t(5)), [up]);
+    }
+
+    #[test]
+    fn cached_reads_withhold_a_segment_across_a_revoked_link() {
+        let tr = trust();
+        let t = |s: u64| SimTime::ZERO + Duration::from_secs(s);
+        let mut local = PathServer::new(ia(1, 3), false);
+        let down = seg(&tr, SegmentType::Down, ia(2, 1), ia(2, 4), 6);
+        let (a, b) = down.links()[0];
+        local.cache_insert(ia(2, 4), vec![down.clone()], SimTime::ZERO);
+        assert!(
+            local.revoke_link(LinkId::new(a, b), t(5), t(1)).is_empty(),
+            "nothing stored crosses the link"
+        );
+        assert_eq!(local.lookup_cached(ia(2, 4), t(1)), LookupResult::Miss);
+        assert_eq!(local.lookup_stale(ia(2, 4), t(1)), None);
+        assert_eq!(local.degrade(ia(2, 4), t(4)), None);
+        let stats = local.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.degraded_serves), (0, 1, 0));
+        // The entry stayed cached: once the revocation lapses it answers.
+        assert_eq!(
+            local.lookup_cached(ia(2, 4), t(5)),
+            LookupResult::Hit(vec![down.clone()])
+        );
+        assert_eq!(local.lookup_stale(ia(2, 4), t(5)), Some(vec![down]));
     }
 
     #[test]
