@@ -1007,8 +1007,9 @@ mod tests {
     /// store keeps a path's newest instance, and an origination expires at
     /// `now + lifetime`. Here the origination is re-sent while its previous
     /// instance lives (intervals 2 and 4), and a stored path once a newer
-    /// instance of it replaced the one sent (interval 3); each superseded instance
-    /// keeps its path counted until it lapses, and Eq. (3) reads the last.
+    /// instance of it replaced the one sent (interval 3); each superseded
+    /// instance keeps its path counted until it lapses, and Eq. (3) reads
+    /// the last.
     #[test]
     fn a_resend_outlives_the_instance_it_supersedes() {
         let secs = |s: u64| SimTime::ZERO + Duration::from_secs(s);

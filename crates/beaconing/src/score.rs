@@ -336,9 +336,10 @@ impl LinkHistory {
     #[cfg(test)]
     pub(crate) fn records(&self) -> usize {
         let records = |sends: &Vec<SentPcb>| {
-            let last =
-                |(i, s): &(usize, &SentPcb)| !sends[i + 1..].iter().any(|l| l.egress == s.egress);
-            sends.iter().enumerate().filter(last).count()
+            let mut egresses: Vec<u32> = sends.iter().map(|s| s.egress).collect();
+            egresses.sort_unstable();
+            egresses.dedup();
+            egresses.len()
         };
         self.sent.values().map(records).sum()
     }
